@@ -1,8 +1,7 @@
 module Client = Pmp_server.Client
+module Front = Pmp_server.Front
 module Loop = Pmp_server.Loop
-module Netbuf = Pmp_server.Netbuf
 module Protocol = Pmp_server.Protocol
-module Wire = Pmp_server.Wire
 module Recorder = Pmp_server.Recorder
 module Mserver = Pmp_server.Mserver
 module Metrics = Pmp_telemetry.Metrics
@@ -65,9 +64,9 @@ type t = {
   quota_pes : int option;
   index : Fed_index.t;
   ledger : (int, entry) Hashtbl.t;
-  mutable conn_tenants : (Netbuf.t * int) list;  (** keyed physically *)
-  mutable next_tenant : int;
   tenant_used : (int, int) Hashtbl.t;
+      (** PEs admitted per tenant (one tenant per connection); a tenant
+          leaves the table when its usage returns to zero *)
   registry : Metrics.Registry.t;
   c_requests : Metrics.Counter.t;
   c_rejects : Metrics.Counter.t;
@@ -82,13 +81,13 @@ type t = {
   mutable last_probe : float;
   mutable last_rebalance : float;
   mutable dump_requested : bool;
-  cur : Wire.cursor;
-  scratch : Buffer.t;
+  front : Front.t;
 }
 
 let shards t = Array.length t.shardv
 let aggregate_size t = t.aggregate
 let shard_up t sx = t.shardv.(sx).client <> None
+let tenants t = Hashtbl.length t.tenant_used
 
 let dump_recorder t =
   (try Unix.mkdir t.config.dir 0o755 with Unix.Unix_error _ -> ());
@@ -119,19 +118,12 @@ let probe_shard socket =
           Client.close c;
           Error (Printf.sprintf "%s: %s" socket e))
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ()
-  end
-
 let create config =
   let m = Array.length config.sockets in
   (* the recorder dumps (and, for routers serving on a Unix socket
      under [dir], the listen socket) need the directory to exist —
      shards the router spawns itself create only their own subdirs *)
-  mkdir_p config.dir;
+  Pmp_server.Server.mkdir_p config.dir;
   match Fed_id.plan ~shards:m with
   | Error e -> Error e
   | Ok plan -> (
@@ -223,8 +215,6 @@ let create config =
                 Fed_index.create ~shard_sizes
                   ~capacities:(Array.make m None);
               ledger = Hashtbl.create 1024;
-              conn_tenants = [];
-              next_tenant = 0;
               tenant_used = Hashtbl.create 16;
               registry;
               c_requests;
@@ -240,14 +230,18 @@ let create config =
               last_probe = now;
               last_rebalance = now;
               dump_requested = false;
-              cur = { Wire.pos = 0 };
-              scratch = Buffer.create 256;
+              front = Front.create ();
             })
 
 (* ------------------------------------------------------------------ *)
 (* upstream RPC, mark-down and failover                                *)
 
 let used t tenant = try Hashtbl.find t.tenant_used tenant with Not_found -> 0
+
+let charge t tenant delta =
+  let u = used t tenant + delta in
+  if u > 0 then Hashtbl.replace t.tenant_used tenant u
+  else Hashtbl.remove t.tenant_used tenant
 
 let note_event t =
   Recorder.record t.recorder ~kind:Recorder.kind_event ~op:0 ~tenant:0 ~size:0
@@ -349,13 +343,13 @@ let dispatch t ~tenant req =
       in
       if over_quota then begin
         Metrics.Counter.incr t.c_rejects;
-        (Protocol.Error "tenant admission quota exceeded", None, false)
+        (Protocol.Error "tenant admission quota exceeded", None)
       end
       else
         match route_submit t ~size with
         | Error e ->
             Metrics.Counter.incr t.c_rejects;
-            (Protocol.Error e, None, false)
+            (Protocol.Error e, None)
         | Ok (sx, Protocol.Placed (local, p)) ->
             let gid = Fed_id.global_id t.plan ~shard:sx local in
             Hashtbl.replace t.ledger gid
@@ -366,13 +360,12 @@ let dispatch t ~tenant req =
                 e_tenant = tenant;
                 e_queued = false;
               };
-            Hashtbl.replace t.tenant_used tenant (used t tenant + size);
+            charge t tenant size;
             Fed_index.note_submit t.index sx ~size;
             Metrics.Counter.incr t.shardv.(sx).c_routed;
             ( Protocol.Placed
                 (gid, { p with Protocol.base = p.Protocol.base + t.offsets.(sx) }),
-              Some sx,
-              false )
+              Some sx )
         | Ok (sx, Protocol.Queued local) ->
             let gid = Fed_id.global_id t.plan ~shard:sx local in
             Hashtbl.replace t.ledger gid
@@ -383,51 +376,47 @@ let dispatch t ~tenant req =
                 e_tenant = tenant;
                 e_queued = true;
               };
-            Hashtbl.replace t.tenant_used tenant (used t tenant + size);
+            charge t tenant size;
             Metrics.Counter.incr t.shardv.(sx).c_routed;
-            (Protocol.Queued gid, Some sx, false)
-        | Ok (sx, (Protocol.Error _ as e)) -> (e, Some sx, false)
+            (Protocol.Queued gid, Some sx)
+        | Ok (sx, (Protocol.Error _ as e)) -> (e, Some sx)
         | Ok (sx, _) ->
-            (Protocol.Error "unexpected shard reply", Some sx, false))
+            (Protocol.Error "unexpected shard reply", Some sx))
   | Protocol.Finish gid -> (
       match Hashtbl.find_opt t.ledger gid with
-      | None -> (Protocol.Error "unknown or finished task", None, false)
+      | None -> (Protocol.Error "unknown or finished task", None)
       | Some e when not (shard_up t e.e_shard) ->
           ( Protocol.Error (Printf.sprintf "shard %d down" e.e_shard),
-            None,
-            false )
+            None )
       | Some e -> (
           match rpc t e.e_shard (Protocol.Finish e.e_local) with
           | Ok Protocol.Finished ->
               Hashtbl.remove t.ledger gid;
-              Hashtbl.replace t.tenant_used e.e_tenant
-                (max 0 (used t e.e_tenant - e.e_size));
+              charge t e.e_tenant (-e.e_size);
               if not e.e_queued then
                 Fed_index.note_finish t.index e.e_shard ~size:e.e_size;
-              (Protocol.Finished, Some e.e_shard, false)
-          | Ok (Protocol.Error _ as err) -> (err, Some e.e_shard, false)
+              (Protocol.Finished, Some e.e_shard)
+          | Ok (Protocol.Error _ as err) -> (err, Some e.e_shard)
           | Ok _ ->
-              (Protocol.Error "unexpected shard reply", Some e.e_shard, false)
+              (Protocol.Error "unexpected shard reply", Some e.e_shard)
           | Error err ->
-              (Protocol.Error ("shard failure: " ^ err), None, false)))
+              (Protocol.Error ("shard failure: " ^ err), None)))
   | Protocol.Query gid -> (
       match Hashtbl.find_opt t.ledger gid with
-      | None -> (Protocol.State (gid, Protocol.Unknown), None, false)
+      | None -> (Protocol.State (gid, Protocol.Unknown), None)
       | Some e when not (shard_up t e.e_shard) ->
           ( Protocol.Error (Printf.sprintf "shard %d down" e.e_shard),
-            None,
-            false )
+            None )
       | Some e -> (
           match rpc t e.e_shard (Protocol.Query e.e_local) with
           | Ok (Protocol.State (_, st)) ->
               ( Protocol.State (gid, globalize_state t e.e_shard st),
-                Some e.e_shard,
-                false )
-          | Ok (Protocol.Error _ as err) -> (err, Some e.e_shard, false)
+                Some e.e_shard )
+          | Ok (Protocol.Error _ as err) -> (err, Some e.e_shard)
           | Ok _ ->
-              (Protocol.Error "unexpected shard reply", Some e.e_shard, false)
+              (Protocol.Error "unexpected shard reply", Some e.e_shard)
           | Error err ->
-              (Protocol.Error ("shard failure: " ^ err), None, false)))
+              (Protocol.Error ("shard failure: " ^ err), None)))
   | Protocol.Stats -> (
       let collected = ref [] in
       for sx = shards t - 1 downto 0 do
@@ -437,12 +426,11 @@ let dispatch t ~tenant req =
           | Ok _ | Error _ -> ()
       done;
       match !collected with
-      | [] -> (Protocol.Error "no shard up", None, false)
+      | [] -> (Protocol.Error "no shard up", None)
       | stats ->
           ( Protocol.Stats_reply
               (Mserver.merge_stats ~machine_size:t.aggregate stats),
-            None,
-            false ))
+            None ))
   | Protocol.Loads ->
       let parts =
         Array.to_list
@@ -455,7 +443,7 @@ let dispatch t ~tenant req =
                  | _ -> Array.make t.shard_sizes.(sx) 0
                else Array.make t.shard_sizes.(sx) 0))
       in
-      (Protocol.Loads_reply (Array.concat parts), None, false)
+      (Protocol.Loads_reply (Array.concat parts), None)
   | Protocol.Metrics ->
       Array.iteri
         (fun sx s ->
@@ -472,13 +460,11 @@ let dispatch t ~tenant req =
       done;
       ( Protocol.Metrics_reply
           (router_dump ^ Metrics.merge_prometheus !shard_dumps),
-        None,
-        false )
+        None )
   | Protocol.Snapshot ->
       ( Protocol.Error "snapshots are per-shard; connect to a shard directly",
-        None,
-        false )
-  | Protocol.Ping -> (Protocol.Pong, None, false)
+        None )
+  | Protocol.Ping -> (Protocol.Pong, None)
   | Protocol.Health ->
       let any_up =
         Array.exists (fun s -> s.client <> None) t.shardv
@@ -491,14 +477,13 @@ let dispatch t ~tenant req =
             seq = 0;
             recovered_ops = 0;
           },
-        None,
-        false )
+        None )
   | Protocol.Shutdown ->
       if t.config.shutdown_shards then
         for sx = 0 to shards t - 1 do
           if shard_up t sx then ignore (rpc t sx Protocol.Shutdown)
         done;
-      (Protocol.Bye, None, true)
+      (Protocol.Bye, None)
 
 (* ------------------------------------------------------------------ *)
 (* periodic work                                                       *)
@@ -628,129 +613,23 @@ let tick t =
 (* ------------------------------------------------------------------ *)
 (* connection handling                                                 *)
 
-let tenant_of_conn t inbuf =
-  match List.assq_opt inbuf t.conn_tenants with
-  | Some id -> id
-  | None ->
-      let id = t.next_tenant in
-      t.next_tenant <- id + 1;
-      t.conn_tenants <- (inbuf, id) :: t.conn_tenants;
-      id
-
-let reply t out ~binary ~rid ~shard resp =
-  if binary then begin
-    Buffer.clear t.scratch;
-    (match (rid, shard) with
-    | Some rid, Some shard ->
-        Protocol.response_payload_attr t.scratch ~rid ~shard resp
-    | Some rid, None -> Protocol.response_payload_rid t.scratch ~rid resp
-    | None, _ -> Protocol.response_payload t.scratch resp);
-    Netbuf.add_char out (Char.chr Wire.request_magic);
-    Netbuf.add_char out (Char.chr Wire.version);
-    Netbuf.add_varint out (Buffer.length t.scratch);
-    Netbuf.add_buffer out t.scratch
-  end
-  else begin
-    Netbuf.add_string out (Protocol.encode_response ?rid ?shard resp);
-    Netbuf.add_char out '\n'
-  end
-
-let op_index = function
-  | Protocol.Submit _ -> 1
-  | Protocol.Finish _ -> 2
-  | Protocol.Query _ -> 3
-  | Protocol.Stats -> 4
-  | Protocol.Loads -> 5
-  | Protocol.Metrics -> 6
-  | Protocol.Snapshot -> 7
-  | Protocol.Ping -> 8
-  | Protocol.Shutdown -> 9
-  | Protocol.Health -> 10
-
-let process t ~tenant ~binary ~rid req out =
-  let resp, served_by, stop = dispatch t ~tenant req in
-  Recorder.record t.recorder ~kind:Recorder.kind_request ~op:(op_index req)
-    ~tenant
-    ~size:(match req with Protocol.Submit s -> s | _ -> 0)
-    ~seq:0 ~dur_ns:0 ~ts_us:0
-    ~ok:(match resp with Protocol.Error _ -> false | _ -> true);
-  (* the shard tag rides the rid echo: only attributed responses
-     carry it *)
-  let shard = if rid = None then None else served_by in
-  reply t out ~binary ~rid ~shard resp;
-  stop
-
-(* One complete binary frame off the front of [inbuf], if present. *)
-let take_binary t inbuf =
-  let avail = Netbuf.length inbuf in
-  if avail < 3 then `Incomplete
-  else begin
-    let b = Netbuf.bytes inbuf in
-    let off = Netbuf.offset inbuf in
-    let hard = off + avail in
-    if Char.code (Bytes.get b (off + 1)) <> Wire.version then
-      `Poison
-        (Printf.sprintf "unsupported wire version %d"
-           (Char.code (Bytes.get b (off + 1))))
-    else begin
-      t.cur.Wire.pos <- off + 2;
-      match Wire.read_varint b t.cur hard with
-      | exception Wire.Corrupt _ ->
-          if hard - (off + 2) >= Wire.max_varint_bytes then
-            `Poison "bad frame length"
-          else `Incomplete
-      | plen ->
-          let ppos = t.cur.Wire.pos in
-          if plen <= 0 || plen > Wire.max_payload then `Poison "bad frame"
-          else if ppos + plen > hard then `Incomplete
-          else begin
-            let payload = Bytes.sub_string b ppos plen in
-            Netbuf.consume inbuf (ppos + plen - off);
-            `Frame payload
-          end
-    end
-  end
-
-let handle_conn t inbuf out ~budget =
-  let tenant = tenant_of_conn t inbuf in
-  let consumed = ref 0 in
-  let stop = ref false in
-  let continue = ref true in
-  while !continue && (not !stop) && !consumed < budget
-        && not (Netbuf.is_empty inbuf) do
-    if Netbuf.get_byte inbuf 0 = Wire.request_magic then begin
-      match take_binary t inbuf with
-      | `Incomplete -> continue := false
-      | `Poison e ->
-          reply t out ~binary:true ~rid:None ~shard:None (Protocol.Error e);
-          Netbuf.clear inbuf;
-          incr consumed
-      | `Frame payload -> (
-          incr consumed;
-          match
-            Protocol.decode_request_payload_rid payload ~pos:0
-              ~limit:(String.length payload)
-          with
-          | Error e ->
-              reply t out ~binary:true ~rid:None ~shard:None (Protocol.Error e)
-          | Ok (req, rid) ->
-              if process t ~tenant ~binary:true ~rid req out then stop := true)
-    end
-    else begin
-      match Netbuf.find_byte inbuf '\n' with
-      | None -> continue := false
-      | Some i -> (
-          let line = Netbuf.sub_string inbuf ~off:0 ~len:i in
-          Netbuf.consume inbuf (i + 1);
-          incr consumed;
-          match Protocol.decode_request_rid line with
-          | Error e ->
-              reply t out ~binary:false ~rid:None ~shard:None (Protocol.Error e)
-          | Ok (req, rid) ->
-              if process t ~tenant ~binary:false ~rid req out then stop := true)
-    end
-  done;
-  if !stop then `Stop !consumed else `Handled !consumed
+(* The router's request core for the shared front end: every request
+   takes the generic path, and a connection is its own tenant. *)
+let handler =
+  {
+    Front.fast = Front.pass;
+    respond =
+      (fun t ~conn req ->
+        let resp, served_by = dispatch t ~tenant:conn req in
+        Recorder.record t.recorder ~kind:Recorder.kind_request
+          ~op:(Protocol.opcode req) ~tenant:conn
+          ~size:(match req with Protocol.Submit s -> s | _ -> 0)
+          ~seq:0 ~dur_ns:0 ~ts_us:0
+          ~ok:(match resp with Protocol.Error _ -> false | _ -> true);
+        (resp, served_by));
+    start = ignore;
+    finish = (fun _ ~op:_ ~size:_ ~ok:_ -> ());
+  }
 
 let serve t ~listeners =
   match
@@ -758,7 +637,8 @@ let serve t ~listeners =
       ~on_usr1:(fun () -> t.dump_requested <- true)
       ~tick:(fun () -> tick t)
       ~listeners
-      ~handle:(fun inbuf out ~budget -> handle_conn t inbuf out ~budget)
+      ~handle:(fun conn inbuf out ~budget ->
+        Front.handle handler t t.front ~conn inbuf out ~budget)
       ()
   with
   | () -> close t

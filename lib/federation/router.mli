@@ -61,15 +61,10 @@ val aggregate_size : t -> int
 
 val shard_up : t -> int -> bool
 
-val handle_conn :
-  t ->
-  Pmp_server.Netbuf.t ->
-  Pmp_server.Netbuf.t ->
-  budget:int ->
-  [ `Handled of int | `Stop of int ]
-(** The loop handler: consume complete requests (either encoding)
-    from the in-buffer, append responses to the out-buffer. Exposed
-    for in-process tests. *)
+val tenants : t -> int
+(** Tenants (one per connection) holding admitted PEs. The router
+    keeps no other per-connection state, so this is bounded by live
+    work, not by how many connections have come and gone. *)
 
 val tick : t -> float
 (** Run due periodic work (polls, probes, rebalance, requested

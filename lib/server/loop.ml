@@ -4,12 +4,17 @@ let default_config = { max_pending = 64; max_out = 1 lsl 20 }
 
 type conn = {
   fd : Unix.file_descr;
+  id : int;  (** sequence number, handed to [handle] *)
   inbuf : Netbuf.t;  (** bytes read, not yet decoded *)
   out : Netbuf.t;  (** response bytes not yet written *)
   mutable eof : bool;  (** peer closed its write side *)
   mutable pending : bool;
       (** the handler stopped at its budget — more complete requests
           may already be buffered, so poll instead of blocking *)
+  mutable poisoned : bool;
+      (** the handler gave up on the input: discard it, and half-close
+          once the output is flushed *)
+  mutable shut : bool;  (** our write side is shut down *)
 }
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -37,11 +42,27 @@ let setup_sigusr1 on_usr1 =
 
 let run ?(config = default_config) ?(on_accept = ignore) ?(on_batch = ignore)
     ?(on_commit = ignore) ?on_usr1 ?on_read_io ?on_write_io
-    ?(tick = fun () -> -1.0) ~listeners ~handle () =
+    ?(tick = fun () -> -1.0) ?wakeup ~listeners ~handle () =
   ignore_sigpipe ();
   setup_sigusr1 on_usr1;
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let stopping = ref false in
+  let next_id = ref 0 in
+  let adopt fd =
+    Hashtbl.replace conns fd
+      {
+        fd;
+        id = !next_id;
+        inbuf = Netbuf.create 256;
+        out = Netbuf.create 256;
+        eof = false;
+        pending = false;
+        poisoned = false;
+        shut = false;
+      };
+    incr next_id
+  in
+  let wake_fd = Option.map fst wakeup in
   let drop c =
     close_quietly c.fd;
     Hashtbl.remove conns c.fd
@@ -83,12 +104,16 @@ let run ?(config = default_config) ?(on_accept = ignore) ?(on_batch = ignore)
     Hashtbl.iter
       (fun _ c ->
         c.pending <- false;
-        if not (Netbuf.is_empty c.inbuf) then begin
+        if c.poisoned then Netbuf.clear c.inbuf
+        else if not (Netbuf.is_empty c.inbuf) then begin
           let n =
-            match handle c.inbuf c.out ~budget:config.max_pending with
+            match handle c.id c.inbuf c.out ~budget:config.max_pending with
             | `Handled n -> n
             | `Stop n ->
                 stopping := true;
+                n
+            | `Close n ->
+                c.poisoned <- true;
                 n
           in
           total := !total + n;
@@ -112,7 +137,15 @@ let run ?(config = default_config) ?(on_accept = ignore) ?(on_batch = ignore)
           List.iter close_quietly listeners;
           listeners_open := false
         end;
-        (* drop connections that are fully drained and finished *)
+        (* half-close poisoned connections once their reply is out; drop
+           connections that are fully drained and finished *)
+        Hashtbl.iter
+          (fun _ c ->
+            if c.poisoned && (not c.shut) && Netbuf.is_empty c.out then begin
+              c.shut <- true;
+              try Unix.shutdown c.fd SHUTDOWN_SEND with Unix.Unix_error _ -> ()
+            end)
+          conns;
         let finished =
           Hashtbl.fold
             (fun _ c acc ->
@@ -129,7 +162,8 @@ let run ?(config = default_config) ?(on_accept = ignore) ?(on_batch = ignore)
             Hashtbl.fold (fun _ c acc -> acc || c.pending) conns false
           in
           let read_fds =
-            (if !listeners_open then listeners else [])
+            Option.to_list wake_fd
+            @ (if !listeners_open then listeners else [])
             @ Hashtbl.fold
                 (fun fd c acc ->
                   if
@@ -164,19 +198,18 @@ let run ?(config = default_config) ?(on_accept = ignore) ?(on_batch = ignore)
                   | client, _ ->
                       Unix.set_nonblock client;
                       on_accept ();
-                      Hashtbl.replace conns client
-                        {
-                          fd = client;
-                          inbuf = Netbuf.create 256;
-                          out = Netbuf.create 256;
-                          eof = false;
-                          pending = false;
-                        }
+                      adopt client
                   | exception Unix.Unix_error _ -> ()
                 end)
               readable;
+            (match wakeup with
+            | Some (fd, on_wake) when List.memq fd readable -> (
+                match on_wake () with
+                | Some fds -> List.iter adopt fds
+                | None -> stopping := true)
+            | _ -> ());
             let conn_readable =
-              List.filter (fun fd -> not (List.memq fd listeners)) readable
+              List.filter (fun fd -> Hashtbl.mem conns fd) readable
             in
             (match on_read_io with
             | None -> pump_reads conn_readable

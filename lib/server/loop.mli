@@ -26,6 +26,13 @@
     removed from the read set until the client drains it. Neither cap
     drops data.
 
+    [handle] returning [`Close] gives up on that connection's input
+    (the {!Front}'s rule for input that breaks the framing): what
+    arrives later is read and discarded, and once its queued output is
+    flushed the write side is shut down, so the peer reads the reply
+    and then end-of-file. The connection is dropped when the peer
+    closes.
+
     [handle] returning [`Stop] (the [shutdown] op) makes this the
     final round: listeners close, every queued response is flushed,
     and [run] returns. Exceptions from [handle] or [on_commit]
@@ -61,17 +68,25 @@ val run :
   ?on_read_io:(float -> unit) ->
   ?on_write_io:(float -> unit) ->
   ?tick:(unit -> float) ->
+  ?wakeup:Unix.file_descr * (unit -> Unix.file_descr list option) ->
   listeners:Unix.file_descr list ->
-  handle:(Netbuf.t -> Netbuf.t -> budget:int -> [ `Handled of int | `Stop of int ]) ->
+  handle:
+    (int ->
+    Netbuf.t ->
+    Netbuf.t ->
+    budget:int ->
+    [ `Handled of int | `Stop of int | `Close of int ]) ->
   unit ->
   unit
 (** Serve until [`Stop]. Closes the listeners and every connection
     before returning (also on exception).
 
-    [handle inbuf out ~budget] must consume up to [budget] complete
+    [handle conn inbuf out ~budget] must consume up to [budget] complete
     requests from the front of [inbuf] (leaving any incomplete tail
     buffered), append the encoded responses to [out], and return how
-    many it consumed. [on_batch total] then [on_commit ()] run after
+    many it consumed. [conn] numbers the connection (0, 1, ... in
+    arrival order, never reused within a run), so a handler can tell
+    connections apart without keeping a table of its own. [on_batch total] then [on_commit ()] run after
     each round that handled at least one request, before any response
     is written. [tick ()] is consulted for a select-timeout cap in
     seconds (negative for none) — the interval fsync policy lives
@@ -87,4 +102,13 @@ val run :
     draining output buffers (the {e ack} stage) for each round that
     touched at least one connection — round-level attribution, since
     the socket pumps are shared across connections. Omitting them (the
-    default) adds no clock calls to the loop. *)
+    default) adds no clock calls to the loop.
+
+    [wakeup = (fd, on_wake)] is for loops fed by other threads rather
+    than (or besides) listeners — the {!Mserver} shards, whose
+    connections and peer messages arrive over SPSC rings. [fd] (the
+    read end of a self-pipe) joins every [select], also while
+    stopping; when it is readable the loop calls [on_wake ()], which
+    must drain it, do the work that arrived, and return the new
+    connections to adopt (non-blocking descriptors the loop then owns)
+    or [None] to stop as if [handle] had returned [`Stop]. *)

@@ -168,13 +168,6 @@ let merge_stats ~machine_size parts =
 
 let ( let* ) = Result.bind
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ()
-  end
-
 let marker_path dir = Filename.concat dir "domains"
 
 let read_marker dir =
@@ -291,7 +284,7 @@ let create cfg =
   let* plan =
     Sharding.plan ~machine_size:base.Server.machine_size ~shards:cfg.domains
   in
-  mkdir_p base.Server.dir;
+  Server.mkdir_p base.Server.dir;
   let* () =
     match Snapshot.latest ~dir:base.Server.dir with
     | Some (path, _) ->
@@ -443,45 +436,25 @@ let merge_max_names = [ "pmpd_max_load"; "pmpd_p99_load_ratio" ]
 (* ------------------------------------------------------------------ *)
 (* shard worker state                                                  *)
 
-(* A client acknowledgement waiting its turn: responses to one
-   connection leave in request order, and a mutation's response also
-   waits for [durable.(gate_shard) >= gate_mut] — exactly the
-   written-vs-durable contract, enforced per ticket instead of by the
-   single loop's phase ordering. [gate_shard = -1] means no gate. *)
-type out_entry = { data : string; gate_shard : int; gate_mut : int }
-
-type conn = {
-  fd : Unix.file_descr;
-  inb : Netbuf.t;
-  out : Netbuf.t;
-  parked : out_entry Queue.t;
-  mutable alive : bool;
-  mutable hot : bool;  (** budget exhausted with input still buffered *)
-}
-
 type shard = {
   s_id : int;
   sh : shared;
   cluster : Cluster.t;
   reg : Metrics.Registry.t;
   ins : shard_ins;
-  mutable conns : conn list;
+  front : Front.t;
+  need : int array;
+      (** per shard: the highest mutation ticket this batch's
+          acknowledgements wait for (0 = none) *)
+  mutable awaiting : int;  (** the peer called, or -1 *)
+  mutable answer : (Protocol.response * int) option;  (** its reply *)
   mutable mut : int;  (** mutation tickets issued by this shard *)
-  mutable quiesced : bool;
-  mutable drain_deadline : float;
+  mutable unsent : wal_msg list;  (** not yet pushed to the WAL domain *)
+  mutable quiesced : bool;  (** done serving clients *)
   ratio_ring : float array;
   mutable ratio_n : int;
   cap_pes : int option;
 }
-
-let rolling_p99 st =
-  let n = min st.ratio_n (Array.length st.ratio_ring) in
-  if n = 0 then 0.0
-  else begin
-    let copy = Array.sub st.ratio_ring 0 n in
-    Array.sort Float.compare copy;
-    copy.(min (n - 1) (int_of_float (float_of_int n *. 0.99)))
-  end
 
 let update_shard_gauges st =
   let s = Cluster.stats st.cluster in
@@ -503,7 +476,7 @@ let update_shard_gauges st =
    WAL domain free of registry writes (no shared mutable metrics). *)
 let shard_dump st =
   update_shard_gauges st;
-  let p99 = rolling_p99 st in
+  let p99 = Server.rolling_p99 st.ratio_ring st.ratio_n in
   Metrics.Gauge.set st.ins.g_p99 p99;
   Metrics.Gauge.set st.ins.g_shard_p99 p99;
   if st.s_id = 0 then begin
@@ -524,13 +497,25 @@ let globalize_placement st (p : Protocol.placement) =
     Protocol.base = p.Protocol.base + Sharding.leaf_offset st.sh.plan st.s_id;
   }
 
+(* Mutations queue up on the shard and reach the WAL domain together
+   ({!flush_wal}): at the batch's commit, or at once when applied for
+   a waiting peer. A whole batch then lands in one WAL group commit
+   instead of being split across fsyncs that start while it is still
+   being applied. *)
 let wal_send st op =
   st.mut <- st.mut + 1;
   Metrics.Counter.incr st.ins.c_mutations;
-  spin_push st.sh
-    st.sh.walq.(st.s_id)
-    { w_shard = st.s_id; w_mut = st.mut; w_op = op }
-    ~wake_i:st.sh.plan.Sharding.shards
+  st.unsent <- { w_shard = st.s_id; w_mut = st.mut; w_op = op } :: st.unsent
+
+let flush_wal st =
+  if st.unsent <> [] then begin
+    List.iter
+      (fun m ->
+        spin_push st.sh st.sh.walq.(st.s_id) m
+          ~wake_i:st.sh.plan.Sharding.shards)
+      (List.rev st.unsent);
+    st.unsent <- []
+  end
 
 (* Admit a task here, whoever asked (the home shard or a thief's
    victim): the admitting shard assigns the id out of its own
@@ -577,72 +562,91 @@ let query_here st gid =
 (* Service one peer request and push the response back. Never blocks
    (WAL pushes spin only until the always-draining WAL domain catches
    up), which is what makes waiting-while-serving deadlock-free. *)
-let service_peer st msg =
-  match msg with
-  | Presp _ -> fatal st.sh "peer protocol: response without a pending call"
-  | Preq (origin, kind) ->
-      let resp, ticket =
-        match kind with
-        | P_submit size ->
-            Metrics.Counter.incr st.ins.c_steal_in;
-            admit_here st size
-        | P_finish gid -> finish_here st gid
-        | P_query gid -> query_here st gid
-        | P_stats -> (Protocol.Stats_reply (Cluster.stats st.cluster), 0)
-        | P_loads ->
-            (Protocol.Loads_reply (Array.copy (Cluster.leaf_loads st.cluster)),
-             0)
-        | P_metrics -> (Protocol.Metrics_reply (shard_dump st), 0)
-      in
-      spin_push st.sh st.sh.peer.(st.s_id).(origin) (Presp (resp, ticket))
-        ~wake_i:origin
+let service_peer st origin kind =
+  let resp, ticket =
+    match kind with
+    | P_submit size ->
+        Metrics.Counter.incr st.ins.c_steal_in;
+        admit_here st size
+    | P_finish gid -> finish_here st gid
+    | P_query gid -> query_here st gid
+    | P_stats -> (Protocol.Stats_reply (Cluster.stats st.cluster), 0)
+    | P_loads ->
+        (Protocol.Loads_reply (Array.copy (Cluster.leaf_loads st.cluster)), 0)
+    | P_metrics -> (Protocol.Metrics_reply (shard_dump st), 0)
+  in
+  flush_wal st;
+  spin_push st.sh st.sh.peer.(st.s_id).(origin) (Presp (resp, ticket))
+    ~wake_i:origin
 
-(* One synchronous remote call. While waiting, keep serving every
-   inbound peer ring: a cycle of shards all blocked on each other
-   still makes progress because each one answers the others' requests
-   from inside its wait loop. *)
+(* Drain every inbound peer ring: serve the requests, keep the one
+   response a pending call may be owed. *)
+let serve_peers st =
+  for src = 0 to st.sh.plan.Sharding.shards - 1 do
+    if src <> st.s_id then begin
+      let ring = st.sh.peer.(src).(st.s_id) in
+      let rec go () =
+        match Spsc.pop ring with
+        | Some (Preq (origin, kind)) ->
+            service_peer st origin kind;
+            go ()
+        | Some (Presp (r, ticket)) ->
+            if src <> st.awaiting || st.answer <> None then
+              fatal st.sh "peer protocol: response from an uncalled shard";
+            st.answer <- Some (r, ticket);
+            go ()
+        | None -> ()
+      in
+      go ()
+    end
+  done
+
+(* Wait for [ready ()] while serving the peer rings: a cycle of shards
+   all waiting on each other still makes progress because each one
+   answers the others' requests from inside its wait. Spins [spins]
+   times (a peer answers in microseconds; an fsync takes far longer),
+   then sleeps on the shard's pipe. A pipe byte consumed here may have
+   announced a connection or the stop for the shard's loop; the pipe
+   is re-armed on the way out when one is pending. *)
+let wait_until ?(spins = 0) st ready =
+  let pipe = st.sh.pipes_r.(st.s_id) in
+  let drained = ref false in
+  let rec go n =
+    check_fail st.sh;
+    serve_peers st;
+    if not (ready ()) then
+      if n < spins then begin
+        Domain.cpu_relax ();
+        go (n + 1)
+      end
+      else begin
+        (match Unix.select [ pipe ] [] [] 0.001 with
+        | [ _ ], _, _ ->
+            drain_pipe pipe;
+            drained := true
+        | _ -> ()
+        | exception Unix.Unix_error (EINTR, _, _) -> ());
+        go 0
+      end
+  in
+  go 0;
+  if
+    !drained
+    && ((not (Spsc.is_empty st.sh.acc.(st.s_id))) || Atomic.get st.sh.stop)
+  then wake st.sh st.s_id
+
+(* One synchronous remote call (a shard has at most one outstanding). *)
 let peer_call st dest kind =
-  let k = st.sh.plan.Sharding.shards in
+  st.awaiting <- dest;
   spin_push st.sh st.sh.peer.(st.s_id).(dest) (Preq (st.s_id, kind))
     ~wake_i:dest;
-  let result = ref None in
-  let drain_from src =
-    let ring = st.sh.peer.(src).(st.s_id) in
-    let rec go () =
-      match Spsc.pop ring with
-      | Some (Preq _ as m) ->
-          service_peer st m;
-          go ()
-      | Some (Presp (r, ticket)) ->
-          if src <> dest || !result <> None then
-            fatal st.sh "peer protocol: response from an uncalled shard";
-          result := Some (r, ticket)
-      | None -> ()
-    in
-    go ()
-  in
-  let pipe = st.sh.pipes_r.(st.s_id) in
-  let rec wait spins =
-    check_fail st.sh;
-    for src = 0 to k - 1 do
-      if src <> st.s_id && !result = None then drain_from src
-    done;
-    match !result with
-    | Some r -> r
-    | None ->
-        if spins < 200 then begin
-          Domain.cpu_relax ();
-          wait (spins + 1)
-        end
-        else begin
-          (match Unix.select [ pipe ] [] [] 0.001 with
-          | [ _ ], _, _ -> drain_pipe pipe
-          | _ -> ()
-          | exception Unix.Unix_error (EINTR, _, _) -> ());
-          wait 0
-        end
-  in
-  wait 0
+  wait_until ~spins:200 st (fun () -> st.answer <> None);
+  st.awaiting <- -1;
+  match st.answer with
+  | Some r ->
+      st.answer <- None;
+      r
+  | None -> fatal st.sh "peer protocol: no response"
 
 (* ------------------------------------------------------------------ *)
 (* gathers (stats / loads / metrics span every shard)                  *)
@@ -723,39 +727,25 @@ let maybe_steal st size =
 (* ------------------------------------------------------------------ *)
 (* client requests                                                     *)
 
-(* Append a response to the connection's in-order queue. Everything
-   goes through the queue — ungated responses too — so a read-only
-   reply can never overtake a mutation's still-parked acknowledgement
-   on the same connection. *)
-let enqueue_resp st c ~binary ?rid ?(gate = (-1, 0)) resp =
-  (match resp with
-  | Protocol.Error _ -> Metrics.Counter.incr st.ins.c_errors
-  | _ -> ());
-  let data =
-    if binary then Protocol.encode_response_binary ?rid resp
-    else Protocol.encode_response ?rid resp ^ "\n"
-  in
-  let gate_shard, gate_mut = gate in
-  Queue.add { data; gate_shard; gate_mut } c.parked
-
-(* Returns [true] when the request was [Shutdown] (stop draining). *)
-let handle_request st c ~binary ?rid req =
-  Metrics.Counter.incr st.ins.c_requests;
-  let reply ?gate resp = enqueue_resp st c ~binary ?rid ?gate resp in
+(* Apply one client request. A mutation's acknowledgement must wait
+   for its ticket on the shard that applied it: [gated] records that
+   in [need], which the batch's commit waits out before any response
+   of the batch reaches a socket. *)
+let respond st req =
   let gated shard ticket resp =
-    if ticket > 0 then reply ~gate:(shard, ticket) resp else reply resp
+    if ticket > st.need.(shard) then st.need.(shard) <- ticket;
+    resp
   in
   let plan = st.sh.plan in
   match req with
   | Protocol.Submit size ->
       if size > plan.Sharding.shard_size then
-        reply
-          (Protocol.Error
-             (Printf.sprintf
-                "size %d exceeds the per-shard maximum %d (machine %d over %d \
-                 domains)"
-                size plan.Sharding.shard_size plan.Sharding.machine_size
-                plan.Sharding.shards))
+        Protocol.Error
+          (Printf.sprintf
+             "size %d exceeds the per-shard maximum %d (machine %d over %d \
+              domains)"
+             size plan.Sharding.shard_size plan.Sharding.machine_size
+             plan.Sharding.shards)
       else begin
         match maybe_steal st size with
         | Some dest -> (
@@ -771,317 +761,126 @@ let handle_request st c ~binary ?rid req =
         | None ->
             let resp, ticket = admit_here st size in
             gated st.s_id ticket resp
-      end;
-      false
+      end
   | Protocol.Finish gid ->
-      (if gid < 0 then reply (Protocol.Error "unknown task")
-       else begin
-         let owner = Sharding.owner plan gid in
-         if owner = st.s_id then begin
-           let resp, ticket = finish_here st gid in
-           gated st.s_id ticket resp
-         end
-         else begin
-           let resp, ticket = peer_call st owner (P_finish gid) in
-           gated owner ticket resp
-         end
-       end);
-      false
+      if gid < 0 then Protocol.Error "unknown task"
+      else begin
+        let owner = Sharding.owner plan gid in
+        let resp, ticket =
+          if owner = st.s_id then finish_here st gid
+          else peer_call st owner (P_finish gid)
+        in
+        gated owner ticket resp
+      end
   | Protocol.Query gid ->
-      (if gid < 0 then reply (Protocol.State (gid, Protocol.Unknown))
-       else begin
-         let owner = Sharding.owner plan gid in
-         if owner = st.s_id then reply (fst (query_here st gid))
-         else reply (fst (peer_call st owner (P_query gid)))
-       end);
-      false
-  | Protocol.Stats ->
-      reply (Protocol.Stats_reply (gather_stats st));
-      false
-  | Protocol.Loads ->
-      reply (Protocol.Loads_reply (gather_loads st));
-      false
-  | Protocol.Metrics ->
-      reply (Protocol.Metrics_reply (gather_metrics st));
-      false
+      if gid < 0 then Protocol.State (gid, Protocol.Unknown)
+      else begin
+        let owner = Sharding.owner plan gid in
+        if owner = st.s_id then fst (query_here st gid)
+        else fst (peer_call st owner (P_query gid))
+      end
+  | Protocol.Stats -> Protocol.Stats_reply (gather_stats st)
+  | Protocol.Loads -> Protocol.Loads_reply (gather_loads st)
+  | Protocol.Metrics -> Protocol.Metrics_reply (gather_metrics st)
   | Protocol.Snapshot ->
-      reply (Protocol.Error "snapshots are not supported with --domains > 1");
-      false
-  | Protocol.Ping ->
-      reply Protocol.Pong;
-      false
+      Protocol.Error "snapshots are not supported with --domains > 1"
+  | Protocol.Ping -> Protocol.Pong
   | Protocol.Health ->
-      reply
-        (Protocol.Health_reply
-           {
-             Protocol.ready = true;
-             uptime_ms =
-               int_of_float
-                 ((Unix.gettimeofday () -. st.sh.started) *. 1000.0);
-             seq = max 0 (Atomic.get st.sh.wal_seq);
-             recovered_ops = st.sh.recovered;
-           });
-      false
+      Protocol.Health_reply
+        {
+          Protocol.ready = true;
+          uptime_ms =
+            int_of_float ((Unix.gettimeofday () -. st.sh.started) *. 1000.0);
+          seq = max 0 (Atomic.get st.sh.wal_seq);
+          recovered_ops = st.sh.recovered;
+        }
   | Protocol.Shutdown ->
-      reply Protocol.Bye;
       Atomic.set st.sh.stop true;
       wake_all st.sh;
-      true
+      Protocol.Bye
 
 (* ------------------------------------------------------------------ *)
-(* wire framing (the per-shard decode of what Loop + Server do for the
-   single-core path: binary frames and JSON lines, told apart by the
-   first byte)                                                         *)
+(* the shard worker: Loop.run over the shared front end                *)
 
-let parse_front inb =
-  let len = Netbuf.length inb in
-  if len = 0 then `None
-  else if Netbuf.get_byte inb 0 = Wire.request_magic then begin
-    (* magic, version, varint payload length, payload *)
-    let rec varint i shift acc =
-      if i >= len then `Incomplete
-      else if i - 2 >= Wire.max_varint_bytes then `Bad
-      else begin
-        let b = Netbuf.get_byte inb i in
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 <> 0 then varint (i + 1) (shift + 7) acc
-        else `Length (acc, i + 1)
-      end
-    in
-    if len < 3 then `Incomplete
-    else begin
-      match varint 2 0 0 with
-      | `Incomplete -> `Incomplete
-      | `Bad -> `Bad
-      | `Length (plen, body) ->
-          if plen < 1 || plen > Wire.max_payload then `Bad
-          else if len < body + plen then `Incomplete
-          else `Frame (body, plen)
-    end
-  end
-  else begin
-    match Netbuf.find_byte inb '\n' with
-    | Some i -> `Line i
-    | None -> if len > Wire.max_payload then `Bad else `Incomplete
-  end
+let handler =
+  {
+    Front.fast = Front.pass;
+    respond = (fun st ~conn:_ req -> (respond st req, None));
+    start = ignore;
+    finish =
+      (fun st ~op:_ ~size:_ ~ok ->
+        Metrics.Counter.incr st.ins.c_requests;
+        if not ok then Metrics.Counter.incr st.ins.c_errors);
+  }
 
-let close_conn c =
-  if c.alive then begin
-    c.alive <- false;
-    try Unix.close c.fd with Unix.Unix_error _ -> ()
-  end
-
-(* Decode and handle up to [budget] complete requests buffered on the
-   connection. Sets [c.hot] when it stops with work still decodable. *)
-let drain_requests st c ~budget =
-  c.hot <- false;
-  let rec go budget =
-    if budget <= 0 then c.hot <- Netbuf.length c.inb > 0
-    else if c.alive then begin
-      match parse_front c.inb with
-      | `None | `Incomplete -> ()
-      | `Bad -> close_conn c
-      | `Frame (body, plen) ->
-          let payload = Netbuf.sub_string c.inb ~off:body ~len:plen in
-          Netbuf.consume c.inb (body + plen);
-          let stop =
-            match
-              Protocol.decode_request_payload_rid payload ~pos:0 ~limit:plen
-            with
-            | Ok (req, rid) -> handle_request st c ~binary:true ?rid req
-            | Error e ->
-                Metrics.Counter.incr st.ins.c_requests;
-                enqueue_resp st c ~binary:true (Protocol.Error e);
-                false
-          in
-          if not stop then go (budget - 1)
-      | `Line i ->
-          let line = Netbuf.sub_string c.inb ~off:0 ~len:i in
-          Netbuf.consume c.inb (i + 1);
-          let stop =
-            match Protocol.decode_request_rid line with
-            | Ok (req, rid) -> handle_request st c ~binary:false ?rid req
-            | Error e ->
-                Metrics.Counter.incr st.ins.c_requests;
-                enqueue_resp st c ~binary:false (Protocol.Error e);
-                false
-          in
-          if not stop then go (budget - 1)
-    end
+let covered st =
+  let rec go s =
+    s >= Array.length st.need
+    || (Atomic.get st.sh.durable.(s) >= st.need.(s) && go (s + 1))
   in
-  go budget
+  go 0
 
-(* Move every releasable acknowledgement (gate satisfied, in FIFO
-   order) into the out buffer, then push bytes at the socket. *)
-let release_parked sh c =
+(* The batch's group commit, as ordering: the loop writes no response
+   of the batch before this returns, and this returns only once the
+   WAL domain's watermarks cover every ticket of the batch — the
+   written-vs-durable contract of the single-core server. *)
+let commit st =
+  flush_wal st;
+  if not (covered st) then wait_until st (fun () -> covered st);
+  Array.fill st.need 0 (Array.length st.need) 0;
+  update_shard_gauges st
+
+let close_queued_conns st =
   let rec go () =
-    match Queue.peek_opt c.parked with
-    | Some e when e.gate_shard < 0
-                  || Atomic.get sh.durable.(e.gate_shard) >= e.gate_mut ->
-        ignore (Queue.pop c.parked);
-        Netbuf.add_string c.out e.data;
+    match Spsc.pop st.sh.acc.(st.s_id) with
+    | Some fd ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
         go ()
-    | _ -> ()
+    | None -> ()
   in
   go ()
 
-let flush_conn c =
-  if c.alive && not (Netbuf.is_empty c.out) then begin
-    match Netbuf.drain c.out c.fd with
-    | _ -> ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-        close_conn c
+(* The loop's wakeup hook: serve the peers, then adopt the connections
+   the acceptor handed over — or stop, once shutdown is under way. *)
+let on_wake st () =
+  drain_pipe st.sh.pipes_r.(st.s_id);
+  check_fail st.sh;
+  serve_peers st;
+  if Atomic.get st.sh.stop then begin
+    close_queued_conns st;
+    None
+  end
+  else begin
+    let rec adopt acc =
+      match Spsc.pop st.sh.acc.(st.s_id) with
+      | Some fd ->
+          Metrics.Counter.incr st.ins.c_connections;
+          adopt (fd :: acc)
+      | None -> acc
+    in
+    Some (adopt [])
   end
 
-(* ------------------------------------------------------------------ *)
-(* the shard worker loop                                               *)
-
-exception Shard_exit
-
+(* Serve clients until shutdown, then linger serving peers until every
+   shard is done with its clients: a shard still flushing may yet call
+   this one, and every call it makes is answered before it counts
+   itself quiesced. *)
 let shard_main st =
   let sh = st.sh in
   let k = sh.plan.Sharding.shards in
-  let budget = sh.cfg.base.Server.loop.Loop.max_pending in
-  let pipe = sh.pipes_r.(st.s_id) in
-  let accept_conns () =
-    let rec go () =
-      match Spsc.pop sh.acc.(st.s_id) with
-      | Some fd ->
-          if Atomic.get sh.stop then (
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            go ())
-          else begin
-            Metrics.Counter.incr st.ins.c_connections;
-            st.conns <-
-              {
-                fd;
-                inb = Netbuf.create 4096;
-                out = Netbuf.create 4096;
-                parked = Queue.create ();
-                alive = true;
-                hot = false;
-              }
-              :: st.conns;
-            go ()
-          end
-      | None -> ()
-    in
-    go ()
-  in
-  let service_peers () =
-    for src = 0 to k - 1 do
-      if src <> st.s_id then begin
-        let ring = sh.peer.(src).(st.s_id) in
-        let rec go () =
-          match Spsc.pop ring with
-          | Some m ->
-              service_peer st m;
-              go ()
-          | None -> ()
-        in
-        go ()
-      end
-    done
-  in
-  let inbound_empty () =
-    Spsc.is_empty sh.acc.(st.s_id)
-    &&
-    let ok = ref true in
-    for src = 0 to k - 1 do
-      if src <> st.s_id && not (Spsc.is_empty sh.peer.(src).(st.s_id)) then
-        ok := false
-    done;
-    !ok
-  in
-  let rec loop () =
-    check_fail sh;
-    accept_conns ();
-    service_peers ();
-    (* first sight of the stop flag: stop reading sockets; what's
-       already parked still drains under the durability gates *)
-    if Atomic.get sh.stop && not st.quiesced then begin
-      st.quiesced <- true;
-      st.drain_deadline <- Unix.gettimeofday () +. 5.0;
-      Atomic.incr sh.quiesced_n;
-      wake_all sh
-    end;
-    List.iter
-      (fun c ->
-        if c.alive then begin
-          release_parked sh c;
-          flush_conn c
-        end)
-      st.conns;
-    st.conns <- List.filter (fun c -> c.alive) st.conns;
-    if st.quiesced then begin
-      let drained =
-        List.for_all
-          (fun c -> Queue.is_empty c.parked && Netbuf.is_empty c.out)
-          st.conns
-      in
-      if
-        (Atomic.get sh.quiesced_n = k && inbound_empty () && drained)
-        || Unix.gettimeofday () > st.drain_deadline
-      then begin
-        List.iter close_conn st.conns;
-        st.conns <- [];
-        Atomic.incr sh.shards_done;
-        wake sh k;
-        raise Shard_exit
-      end
-    end;
-    let rds =
-      pipe
-      :: (if st.quiesced then []
-          else List.filter_map (fun c -> if c.alive then Some c.fd else None)
-                 st.conns)
-    in
-    let wrs =
-      List.filter_map
-        (fun c ->
-          if c.alive && not (Netbuf.is_empty c.out) then Some c.fd else None)
-        st.conns
-    in
-    let hot = List.exists (fun c -> c.alive && c.hot) st.conns in
-    let timeout = if hot then 0.0 else if st.quiesced then 0.005 else 0.02 in
-    (match Unix.select rds wrs [] timeout with
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-    | readable, writable, _ ->
-        if List.memq pipe readable then drain_pipe pipe;
-        List.iter
-          (fun c ->
-            if c.alive && List.memq c.fd readable then begin
-              match Netbuf.refill c.inb c.fd with
-              | 0 -> close_conn c
-              | _ -> ()
-              | exception
-                  Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-                  ()
-              | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
-                  close_conn c
-            end)
-          st.conns;
-        let handled = ref false in
-        List.iter
-          (fun c ->
-            if c.alive && Netbuf.length c.inb > 0 then begin
-              drain_requests st c ~budget;
-              handled := true
-            end)
-          st.conns;
-        if !handled then update_shard_gauges st;
-        List.iter
-          (fun c ->
-            if c.alive then begin
-              release_parked sh c;
-              if List.memq c.fd writable || not (Netbuf.is_empty c.out) then
-                flush_conn c
-            end)
-          st.conns);
-    loop ()
-  in
-  match loop () with () -> () | exception Shard_exit -> ()
+  Loop.run ~config:sh.cfg.base.Server.loop
+    ~on_commit:(fun () -> commit st)
+    ~wakeup:(sh.pipes_r.(st.s_id), on_wake st)
+    ~listeners:[]
+    ~handle:(fun conn inbuf out ~budget ->
+      Front.handle handler st st.front ~conn inbuf out ~budget)
+    ();
+  st.quiesced <- true;
+  Atomic.incr sh.quiesced_n;
+  wait_until st (fun () -> Atomic.get sh.quiesced_n = k);
+  close_queued_conns st;
+  Atomic.incr sh.shards_done;
+  wake sh k
 
 (* ------------------------------------------------------------------ *)
 (* the WAL-writer domain                                               *)
@@ -1257,10 +1056,13 @@ let make_shard (sh : shared) cluster s =
       cluster;
       reg;
       ins = make_shard_ins reg s;
-      conns = [];
+      front = Front.create ();
+      need = Array.make sh.plan.Sharding.shards 0;
+      awaiting = -1;
+      answer = None;
       mut = 0;
+      unsent = [];
       quiesced = false;
-      drain_deadline = infinity;
       ratio_ring = Array.make 1024 0.0;
       ratio_n = 0;
       cap_pes = Cluster.admission_capacity cluster;

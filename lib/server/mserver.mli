@@ -2,12 +2,15 @@
 
     The machine's [N] leaves are partitioned into [K] contiguous
     subtree ranges of [N/K] PEs, one per worker domain. Each worker
-    runs its own {!Pmp_cluster.Cluster} of size [N/K], its own select
-    mini-loop over the connections the acceptor handed it, and its own
-    {!Pmp_telemetry.Metrics} registry. The caller's thread is the
-    acceptor: it [select]s on the listeners and hands each accepted
-    connection to a shard round-robin over a bounded
-    {!Pmp_util.Spsc} ring. One further domain is the only WAL writer.
+    runs its own {!Pmp_cluster.Cluster} of size [N/K] and its own
+    {!Pmp_telemetry.Metrics} registry, and serves its connections
+    through the same {!Loop} and {!Front} as the single-core server:
+    the shard supplies only its handler for one request. The caller's
+    thread is the acceptor: it [select]s on the listeners and hands
+    each accepted connection to a shard round-robin over a bounded
+    {!Pmp_util.Spsc} ring; the shard's loop takes it in through its
+    wakeup descriptor, as it does peer messages. One further domain is
+    the only WAL writer.
 
     {b Id namespace.} Shard [s]'s [i]-th task is globally
     [i * K + s] ({!Pmp_util.Sharding.global_id}), so [owner g = g mod
@@ -22,16 +25,20 @@
     waiting for its response a shard keeps servicing its own inbound
     peer requests, so cycles of waiting shards cannot deadlock, and at
     most one call is outstanding per shard, so the rings never fill.
+    Such a wait (and the commit wait below) spins briefly, then parks
+    on the shard's wakeup pipe for at most 1 ms at a time.
 
     {b Durability.} The written-vs-durable acknowledgement contract of
-    the single-core server is preserved: a mutation's response is
-    parked on its connection (FIFO) behind a [(shard, ticket)] gate
-    and released only once the WAL domain has covered that shard's
-    ticket with a commit and advanced the shard's durable watermark.
-    The WAL domain assigns global sequence numbers in drain order and
-    group-commits per the configured {!Wal.fsync_policy}; crash
-    injection trips there, after the covering commit and before any
-    watermark moves — acknowledged, durable, unreported.
+    the single-core server holds by the same ordering: every mutation
+    a batch applies — locally, or on a peer by a remote finish or a
+    steal — takes a ticket on the applying shard, and the shard's
+    loop commit hook waits, serving the peer rings meanwhile, until
+    the WAL domain's durable watermarks cover every ticket of the
+    batch. Only then does the loop write any of the batch's
+    responses. The WAL domain assigns global sequence numbers in drain
+    order and group-commits per the configured {!Wal.fsync_policy};
+    crash injection trips there, after the covering commit and before
+    any watermark moves — acknowledged, durable, unreported.
 
     {b Work stealing.} When admission would queue at the home shard
     (or its queue is already [steal_threshold] deep), the home shard
@@ -94,8 +101,9 @@ val merged_stats : t -> Pmp_cluster.Cluster.stats
 val serve : t -> listeners:Unix.file_descr list -> unit
 (** Spawn the WAL domain and the K shard domains, run the acceptor on
     the calling thread, and block until a [shutdown] request drains
-    the system: shards quiesce (stop reading sockets), parked
-    acknowledgements flush under their durability gates, the WAL
-    domain writes its final commit and closes the log. A failed domain
+    the system: each shard's loop stops reading sockets and flushes
+    its connections, then lingers answering peer calls until every
+    shard is done with its clients; the WAL domain writes its final
+    commit and closes the log. A failed domain
     fails the whole server: {!serve} joins everything, then raises
     [Failure] with the first recorded error. *)

@@ -7,9 +7,14 @@
    the point (Buffer.contents on the old per-connection buffers showed
    up as a string copy per select round in the service profile). *)
 
-type t = { mutable buf : Bytes.t; mutable pos : int; mutable len : int }
+type t = {
+  mutable buf : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  mutable scanned : int;  (** leading bytes known to hold no newline *)
+}
 
-let create cap = { buf = Bytes.create (max 16 cap); pos = 0; len = 0 }
+let create cap = { buf = Bytes.create (max 16 cap); pos = 0; len = 0; scanned = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0
@@ -18,7 +23,8 @@ let offset t = t.pos
 
 let clear t =
   t.pos <- 0;
-  t.len <- 0
+  t.len <- 0;
+  t.scanned <- 0
 
 let compact t =
   if t.pos > 0 then begin
@@ -50,12 +56,21 @@ let consume t n =
   if n < 0 || n > t.len then invalid_arg "Netbuf.consume";
   t.pos <- t.pos + n;
   t.len <- t.len - n;
+  t.scanned <- max 0 (t.scanned - n);
   if t.len = 0 then t.pos <- 0
 
-let find_byte t c =
-  match Bytes.index_from_opt t.buf t.pos c with
-  | Some i when i < t.pos + t.len -> Some (i - t.pos)
-  | Some _ | None -> None
+(* Bounded by the live span (not the backing store's capacity) and
+   resumed where the last miss stopped, so a line arriving over many
+   reads is scanned once, not once per read. *)
+let rec newline_from t i limit =
+  if i >= limit then begin
+    t.scanned <- t.len;
+    None
+  end
+  else if Bytes.unsafe_get t.buf i = '\n' then Some (i - t.pos)
+  else newline_from t (i + 1) limit
+
+let find_newline t = newline_from t (t.pos + t.scanned) (t.pos + t.len)
 
 let sub_string t ~off ~len =
   if off < 0 || len < 0 || off + len > t.len then invalid_arg "Netbuf.sub_string";

@@ -34,8 +34,9 @@ val consume : t -> int -> unit
 (** Drop [n] bytes from the front. @raise Invalid_argument beyond
     {!length}. *)
 
-val find_byte : t -> char -> int option
-(** Offset (relative to the read position) of the first occurrence. *)
+val find_newline : t -> int option
+(** Offset (relative to the read position) of the first ['\n']. A miss
+    is remembered, so the next search only covers bytes appended since. *)
 
 val sub_string : t -> off:int -> len:int -> string
 (** Copy out a span (relative to the read position). *)

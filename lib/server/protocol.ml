@@ -362,23 +362,23 @@ let add_len_string buf s =
   Wire.add_varint buf (String.length s);
   Buffer.add_string buf s
 
-let request_payload buf = function
-  | Submit size ->
-      add_tag buf op_submit;
-      Wire.add_varint buf size
-  | Finish id ->
-      add_tag buf op_finish;
-      Wire.add_varint buf id
-  | Query id ->
-      add_tag buf op_query;
-      Wire.add_varint buf id
-  | Stats -> add_tag buf op_stats
-  | Loads -> add_tag buf op_loads
-  | Metrics -> add_tag buf op_metrics
-  | Snapshot -> add_tag buf op_snapshot
-  | Ping -> add_tag buf op_ping
-  | Health -> add_tag buf op_health
-  | Shutdown -> add_tag buf op_shutdown
+let opcode = function
+  | Submit _ -> op_submit
+  | Finish _ -> op_finish
+  | Query _ -> op_query
+  | Stats -> op_stats
+  | Loads -> op_loads
+  | Metrics -> op_metrics
+  | Snapshot -> op_snapshot
+  | Ping -> op_ping
+  | Health -> op_health
+  | Shutdown -> op_shutdown
+
+let request_payload buf r =
+  add_tag buf (opcode r);
+  match r with
+  | Submit n | Finish n | Query n -> Wire.add_varint buf n
+  | Stats | Loads | Metrics | Snapshot | Ping | Health | Shutdown -> ()
 
 let request_payload_rid buf ~rid r =
   add_tag buf op_tagged;

@@ -102,6 +102,16 @@ val decode_response_attr :
     encoding of every message from its first byte and both formats
     interoperate on one connection. *)
 
+val opcode : request -> int
+(** The request's binary opcode, [1..10]. *)
+
+val op_tagged : int
+(** Opcode of the rid-tagged request wrapper: a varint request id, then
+    the inner (untagged) request payload. *)
+
+val st_tagged : int
+(** Status tag of the rid-tagged response wrapper, laid out likewise. *)
+
 val request_payload : Buffer.t -> request -> unit
 (** Append the payload (opcode + fields, no frame header) to [buf]. *)
 

@@ -81,19 +81,6 @@ let op_name =
     "tagged";
   |]
 
-let op_index (req : Protocol.request) =
-  match req with
-  | Protocol.Submit _ -> 1
-  | Protocol.Finish _ -> 2
-  | Protocol.Query _ -> 3
-  | Protocol.Stats -> 4
-  | Protocol.Loads -> 5
-  | Protocol.Metrics -> 6
-  | Protocol.Snapshot -> 7
-  | Protocol.Ping -> 8
-  | Protocol.Shutdown -> 9
-  | Protocol.Health -> 10
-
 (* 1µs .. ~8s in doubling buckets: spans a cache-warm varint decode to
    a pathological fsync stall with 24 buckets. *)
 let time_bounds = Metrics.log_bounds ~start:1e-6 ~ratio:2.0 ~count:24
@@ -166,10 +153,10 @@ type t = {
   wal : Wal.t;
   reg : Metrics.Registry.t;
   ins : instruments;
-  scratch : Buffer.t;
-      (** reusable response-payload buffer: [Buffer.clear] keeps the
-          storage, so the fast path encodes without allocating *)
-  cur : Wire.cursor;  (** reusable varint decode position, same idea *)
+  front : Front.t;
+  cur : Wire.cursor;
+      (** reusable varint decode position: the fast path decodes
+          without allocating *)
   mutable seq : int;  (** durable mutation count since genesis *)
   mutable snap_seq : int;  (** seq covered by the latest snapshot *)
   mutable fresh_mutations : int;  (** accepted by this process *)
@@ -183,10 +170,6 @@ type t = {
       (** arrival time of the request being handled, set only when
           [timed] — a field rather than an argument so the untimed
           fast path never boxes a float at a call boundary *)
-  mutable cur_op : int;
-      (** effective opcode of the binary request being handled: the
-          frame's own opcode, except a rid-tagged wrapper reports its
-          inner opcode so attribution survives tagging *)
   slow_s : float;  (** slow-request threshold in seconds; [infinity] off *)
   started : float;
   wal_base : int;  (** seq already durable when this process opened the WAL *)
@@ -214,20 +197,20 @@ let wal_lag t =
   if last = min_int then 0
   else max 0 (last - max (Wal.durable_seq t.wal) t.wal_base)
 
-(* p99 of the rolling load-ratio window. The ring is written with
-   plain float-array stores on the commit path; sorting a copy here is
-   fine — rendering metrics is a cold path. *)
-let rolling_p99 t =
-  let n = min t.ratio_n (Array.length t.ratio_ring) in
+(* p99 of a rolling window. The ring is written with plain float-array
+   stores on the commit path; sorting a copy here is fine — rendering
+   metrics is a cold path. *)
+let rolling_p99 ring pushed =
+  let n = min pushed (Array.length ring) in
   if n = 0 then 0.0
   else begin
-    let copy = Array.sub t.ratio_ring 0 n in
+    let copy = Array.sub ring 0 n in
     Array.sort Float.compare copy;
     copy.(min (n - 1) (int_of_float (float_of_int n *. 0.99)))
   end
 
 let metrics t =
-  Metrics.Gauge.set t.ins.g_p99_ratio (rolling_p99 t);
+  Metrics.Gauge.set t.ins.g_p99_ratio (rolling_p99 t.ratio_ring t.ratio_n);
   Metrics.prometheus t.reg
 
 (* ------------------------------------------------------------------ *)
@@ -446,7 +429,7 @@ let create config =
             wal;
             reg;
             ins;
-            scratch = Buffer.create 256;
+            front = Front.create ();
             cur = { Wire.pos = 0 };
             seq;
             snap_seq;
@@ -457,7 +440,6 @@ let create config =
             recorder;
             timed = config.latency_profile || config.slow_ms <> None;
             req_t0 = 0.0;
-            cur_op = 0;
             slow_s =
               (match config.slow_ms with
               | Some ms -> ms /. 1000.0
@@ -559,36 +541,32 @@ let tick t () =
       Float.max 0.0 (t.last_fsync +. every -. now)
   | Wal.Always | Wal.Group | Wal.Never -> -1.0
 
-let handle t (req : Protocol.request) : Protocol.response * bool =
-  Metrics.Counter.incr t.ins.c_requests;
-  let error e =
-    Metrics.Counter.incr t.ins.c_errors;
-    (Protocol.Error e, false)
-  in
+(* Apply one decoded request. Accepted mutations are appended to the
+   WAL (pending) before this returns. *)
+let apply t (req : Protocol.request) : Protocol.response =
   match req with
   | Protocol.Submit size -> (
       match Cluster.submit t.cluster ~size with
-      | Ok sub ->
+      | Ok sub -> (
           let id =
             match sub with Cluster.Placed (id, _) | Cluster.Queued id -> id
           in
           t.seq <- t.seq + 1;
           Wal.append_submit t.wal ~seq:t.seq ~id ~size;
           after_mutation t;
-          ( (match sub with
-            | Cluster.Placed (id, p) ->
-                Protocol.Placed (id, Protocol.placement_of_core p)
-            | Cluster.Queued id -> Protocol.Queued id),
-            false )
-      | Error e -> error e)
+          match sub with
+          | Cluster.Placed (id, p) ->
+              Protocol.Placed (id, Protocol.placement_of_core p)
+          | Cluster.Queued id -> Protocol.Queued id)
+      | Error e -> Protocol.Error e)
   | Protocol.Finish id -> (
       match Cluster.finish t.cluster id with
       | Ok () ->
           t.seq <- t.seq + 1;
           Wal.append_finish t.wal ~seq:t.seq ~id;
           after_mutation t;
-          (Protocol.Finished, false)
-      | Error e -> error e)
+          Protocol.Finished
+      | Error e -> Protocol.Error e)
   | Protocol.Query id ->
       let state =
         match Cluster.placement t.cluster id with
@@ -597,34 +575,43 @@ let handle t (req : Protocol.request) : Protocol.response * bool =
             if Cluster.is_queued t.cluster id then Protocol.Queued_task
             else Protocol.Unknown
       in
-      (Protocol.State (id, state), false)
-  | Protocol.Stats -> (Protocol.Stats_reply (Cluster.stats t.cluster), false)
-  | Protocol.Loads -> (Protocol.Loads_reply (Cluster.leaf_loads t.cluster), false)
-  | Protocol.Metrics -> (Protocol.Metrics_reply (metrics t), false)
+      Protocol.State (id, state)
+  | Protocol.Stats -> Protocol.Stats_reply (Cluster.stats t.cluster)
+  | Protocol.Loads -> Protocol.Loads_reply (Cluster.leaf_loads t.cluster)
+  | Protocol.Metrics -> Protocol.Metrics_reply (metrics t)
   | Protocol.Snapshot -> (
       match snapshot_now t with
-      | Ok path -> (Protocol.Snapshot_reply path, false)
-      | Error e -> error e)
-  | Protocol.Ping -> (Protocol.Pong, false)
+      | Ok path -> Protocol.Snapshot_reply path
+      | Error e -> Protocol.Error e)
+  | Protocol.Ping -> Protocol.Pong
   | Protocol.Health ->
       (* A serving pmpd has by construction recovered and passed the
          oracle — {!create} refuses otherwise — so [ready] is [true]
          whenever this reply exists at all. *)
-      ( Protocol.Health_reply
-          {
-            Protocol.ready = true;
-            uptime_ms =
-              int_of_float ((Unix.gettimeofday () -. t.started) *. 1000.0);
-            seq = max 0 t.seq;
-            recovered_ops = t.recovered_ops;
-          },
-        false )
-  | Protocol.Shutdown -> (Protocol.Bye, true)
+      Protocol.Health_reply
+        {
+          Protocol.ready = true;
+          uptime_ms = int_of_float ((Unix.gettimeofday () -. t.started) *. 1000.0);
+          seq = max 0 t.seq;
+          recovered_ops = t.recovered_ops;
+        }
+  | Protocol.Shutdown -> Protocol.Bye
 
-(* Slow-request log + per-opcode latency + flight-recorder entry for
-   one finished request. With timing off this is a single [record]
-   call: all-immediate arguments, no allocation. *)
+let count t ~ok =
+  Metrics.Counter.incr t.ins.c_requests;
+  if not ok then Metrics.Counter.incr t.ins.c_errors
+
+let handle t req =
+  let resp = apply t req in
+  count t ~ok:(match resp with Protocol.Error _ -> false | _ -> true);
+  (resp, req = Protocol.Shutdown)
+
+(* The front end's [finish] hook: request counters, slow-request log,
+   per-opcode latency and the flight-recorder entry for one answered
+   request. With timing off this is all-immediate arguments, no
+   allocation. *)
 let note_request t ~op ~size ~ok =
+  count t ~ok;
   let op = if op >= 0 && op < Array.length op_name then op else 0 in
   let dur_ns, ts_us =
     if t.timed then begin
@@ -643,291 +630,134 @@ let note_request t ~op ~size ~ok =
   Recorder.record t.recorder ~kind:Recorder.kind_request ~op ~tenant:0 ~size
     ~seq:t.seq ~dur_ns ~ts_us ~ok
 
-let handle_line t line =
-  match Protocol.decode_request_rid line with
-  | Error e ->
-      Metrics.Counter.incr t.ins.c_requests;
-      Metrics.Counter.incr t.ins.c_errors;
-      `Reply (0, false, Protocol.encode_response (Protocol.Error e))
-  | Ok (req, rid) ->
-      let resp, stop = handle t req in
-      let wire = Protocol.encode_response ?rid resp in
-      let ok = match resp with Protocol.Error _ -> false | _ -> true in
-      if stop then `Stop (op_index req, ok, wire)
-      else `Reply (op_index req, ok, wire)
-
 (* ------------------------------------------------------------------ *)
-(* the wire handler                                                    *)
-
-(* Frame [t.scratch] (one encoded response payload) into [out]. *)
-let scratch_frame t out =
-  Netbuf.add_char out (Char.chr Wire.request_magic);
-  Netbuf.add_char out (Char.chr Wire.version);
-  Netbuf.add_varint out (Buffer.length t.scratch);
-  Netbuf.add_buffer out t.scratch
-
-let reply_error_binary t out e =
-  Metrics.Counter.incr t.ins.c_errors;
-  Buffer.clear t.scratch;
-  Buffer.add_char t.scratch '\000';
-  Wire.add_varint t.scratch (String.length e);
-  Buffer.add_string t.scratch e;
-  scratch_frame t out
+(* the fast path                                                       *)
 
 let add_scratch_placement s (p : Pmp_core.Placement.t) =
   Wire.add_varint s (Pmp_machine.Submachine.first_leaf p.Pmp_core.Placement.sub);
   Wire.add_varint s (Pmp_machine.Submachine.size p.Pmp_core.Placement.sub);
   Wire.add_varint s p.Pmp_core.Placement.copy
 
-(* Decode and apply one binary request whose payload spans
-   [[pos0, limit)] of [b], encoding the response straight into [out].
-   Submit, finish, query and stats — the hot opcodes — are dispatched
-   inline without building a [Protocol.request], a [Protocol.response]
-   or any intermediate string: the only per-request allocations left
-   on these paths are the cluster's own. *)
-let dispatch t out b pos0 limit =
+(* Decode and apply one untagged binary payload spanning [[pos0,
+   limit)] of [b], appending the response payload to [s]. Submit,
+   finish, query and stats — the hot opcodes — are dispatched inline
+   without building a [Protocol.request], a [Protocol.response] or any
+   intermediate string: the only per-request allocations left on these
+   paths are the cluster's own. Other opcodes take the front end's
+   generic path through {!apply}. *)
+let fast t s b pos0 limit =
   let opcode = Char.code (Bytes.unsafe_get b pos0) in
   let cur = t.cur in
   cur.Wire.pos <- pos0 + 1;
-  match
-    if opcode >= 1 && opcode <= 4 then begin
-      Metrics.Counter.incr t.ins.c_requests;
-      match opcode with
-      | 1 (* submit *) ->
-          let size = Wire.read_varint b cur limit in
-          if cur.Wire.pos <> limit then `Error "trailing bytes in frame"
-          else begin
-            let td = if t.timed then Unix.gettimeofday () else 0.0 in
-            match Cluster.submit t.cluster ~size with
-            | Ok sub ->
-                let id =
-                  match sub with
-                  | Cluster.Placed (id, _) | Cluster.Queued id -> id
-                in
-                let ta = if t.timed then Unix.gettimeofday () else 0.0 in
-                t.seq <- t.seq + 1;
-                Wal.append_submit t.wal ~seq:t.seq ~id ~size;
-                after_mutation t;
-                if t.timed then begin
-                  let tw = Unix.gettimeofday () in
-                  Metrics.Histogram.observe t.ins.h_stage_decode (td -. t.req_t0);
-                  Metrics.Histogram.observe t.ins.h_stage_apply (ta -. td);
-                  Metrics.Histogram.observe t.ins.h_stage_wal (tw -. ta)
-                end;
-                let s = t.scratch in
-                Buffer.clear s;
-                (match sub with
-                | Cluster.Placed (id, p) ->
-                    Buffer.add_char s '\001';
-                    Wire.add_varint s id;
-                    add_scratch_placement s p
-                | Cluster.Queued id ->
-                    Buffer.add_char s '\002';
-                    Wire.add_varint s id);
-                scratch_frame t out;
-                `Ok
-            | Error e -> `Error e
-          end
-      | 2 (* finish *) ->
-          let id = Wire.read_varint b cur limit in
-          if cur.Wire.pos <> limit then `Error "trailing bytes in frame"
-          else begin
-            let td = if t.timed then Unix.gettimeofday () else 0.0 in
-            match Cluster.finish t.cluster id with
-            | Ok () ->
-                let ta = if t.timed then Unix.gettimeofday () else 0.0 in
-                t.seq <- t.seq + 1;
-                Wal.append_finish t.wal ~seq:t.seq ~id;
-                after_mutation t;
-                if t.timed then begin
-                  let tw = Unix.gettimeofday () in
-                  Metrics.Histogram.observe t.ins.h_stage_decode (td -. t.req_t0);
-                  Metrics.Histogram.observe t.ins.h_stage_apply (ta -. td);
-                  Metrics.Histogram.observe t.ins.h_stage_wal (tw -. ta)
-                end;
-                Buffer.clear t.scratch;
-                Buffer.add_char t.scratch '\003';
-                scratch_frame t out;
-                `Ok
-            | Error e -> `Error e
-          end
-      | 3 (* query *) ->
-          let id = Wire.read_varint b cur limit in
-          if cur.Wire.pos <> limit then `Error "trailing bytes in frame"
-          else begin
-            let td = if t.timed then Unix.gettimeofday () else 0.0 in
-            let s = t.scratch in
-            Buffer.clear s;
-            Buffer.add_char s '\004';
-            Wire.add_varint s id;
-            (match Cluster.placement t.cluster id with
-            | Some p ->
-                Buffer.add_char s '\002';
-                add_scratch_placement s p
-            | None ->
-                if Cluster.is_queued t.cluster id then Buffer.add_char s '\001'
-                else Buffer.add_char s '\000');
-            scratch_frame t out;
+  match opcode with
+  | 1 (* submit *) ->
+      let size = Wire.read_varint b cur limit in
+      if cur.Wire.pos <> limit then Front.Reject "trailing bytes in frame"
+      else begin
+        let td = if t.timed then Unix.gettimeofday () else 0.0 in
+        match Cluster.submit t.cluster ~size with
+        | Ok sub ->
+            let id =
+              match sub with Cluster.Placed (id, _) | Cluster.Queued id -> id
+            in
+            let ta = if t.timed then Unix.gettimeofday () else 0.0 in
+            t.seq <- t.seq + 1;
+            Wal.append_submit t.wal ~seq:t.seq ~id ~size;
+            after_mutation t;
             if t.timed then begin
+              let tw = Unix.gettimeofday () in
               Metrics.Histogram.observe t.ins.h_stage_decode (td -. t.req_t0);
-              Metrics.Histogram.observe t.ins.h_stage_apply
-                (Unix.gettimeofday () -. td)
+              Metrics.Histogram.observe t.ins.h_stage_apply (ta -. td);
+              Metrics.Histogram.observe t.ins.h_stage_wal (tw -. ta)
             end;
-            `Ok
-          end
-      | _ (* 4, stats *) ->
-          if cur.Wire.pos <> limit then `Error "trailing bytes in frame"
-          else begin
-            let td = if t.timed then Unix.gettimeofday () else 0.0 in
-            let st = Cluster.stats t.cluster in
-            let s = t.scratch in
-            Buffer.clear s;
-            Buffer.add_char s '\005';
-            Wire.add_varint s st.Cluster.submitted;
-            Wire.add_varint s st.Cluster.completed;
-            Wire.add_varint s st.Cluster.queued_now;
-            Wire.add_varint s st.Cluster.active_now;
-            Wire.add_varint s st.Cluster.active_size;
-            Wire.add_varint s st.Cluster.max_load;
-            Wire.add_varint s st.Cluster.peak_load;
-            Wire.add_varint s st.Cluster.optimal_now;
-            Wire.add_varint s st.Cluster.reallocations;
-            Wire.add_varint s st.Cluster.tasks_migrated;
-            scratch_frame t out;
-            if t.timed then
-              Metrics.Histogram.observe t.ins.h_stage_apply
-                (Unix.gettimeofday () -. td);
-            `Ok
-          end
-    end
-    else begin
-      (* rare opcodes — including rid-tagged wrappers — fall back to
-         the allocating decoder; a tagged response echoes the rid *)
-      let payload = Bytes.sub_string b pos0 (limit - pos0) in
-      match
-        Protocol.decode_request_payload_rid payload ~pos:0
-          ~limit:(String.length payload)
-      with
-      | Error e ->
-          Metrics.Counter.incr t.ins.c_requests;
-          `Error e
-      | Ok (req, rid) ->
-          t.cur_op <- op_index req;
-          let resp, stop = handle t req in
-          Buffer.clear t.scratch;
-          (match rid with
-          | None -> Protocol.response_payload t.scratch resp
-          | Some rid -> Protocol.response_payload_rid t.scratch ~rid resp);
-          scratch_frame t out;
-          if stop then `Stop else `Ok
-    end
-  with
-  | r -> r
-  | exception Wire.Corrupt e -> `Error e
+            (match sub with
+            | Cluster.Placed (id, p) ->
+                Buffer.add_char s '\001';
+                Wire.add_varint s id;
+                add_scratch_placement s p
+            | Cluster.Queued id ->
+                Buffer.add_char s '\002';
+                Wire.add_varint s id);
+            Front.Reply
+        | Error e -> Front.Reject e
+      end
+  | 2 (* finish *) ->
+      let id = Wire.read_varint b cur limit in
+      if cur.Wire.pos <> limit then Front.Reject "trailing bytes in frame"
+      else begin
+        let td = if t.timed then Unix.gettimeofday () else 0.0 in
+        match Cluster.finish t.cluster id with
+        | Ok () ->
+            let ta = if t.timed then Unix.gettimeofday () else 0.0 in
+            t.seq <- t.seq + 1;
+            Wal.append_finish t.wal ~seq:t.seq ~id;
+            after_mutation t;
+            if t.timed then begin
+              let tw = Unix.gettimeofday () in
+              Metrics.Histogram.observe t.ins.h_stage_decode (td -. t.req_t0);
+              Metrics.Histogram.observe t.ins.h_stage_apply (ta -. td);
+              Metrics.Histogram.observe t.ins.h_stage_wal (tw -. ta)
+            end;
+            Buffer.add_char s '\003';
+            Front.Reply
+        | Error e -> Front.Reject e
+      end
+  | 3 (* query *) ->
+      let id = Wire.read_varint b cur limit in
+      if cur.Wire.pos <> limit then Front.Reject "trailing bytes in frame"
+      else begin
+        let td = if t.timed then Unix.gettimeofday () else 0.0 in
+        Buffer.add_char s '\004';
+        Wire.add_varint s id;
+        (match Cluster.placement t.cluster id with
+        | Some p ->
+            Buffer.add_char s '\002';
+            add_scratch_placement s p
+        | None ->
+            if Cluster.is_queued t.cluster id then Buffer.add_char s '\001'
+            else Buffer.add_char s '\000');
+        if t.timed then begin
+          Metrics.Histogram.observe t.ins.h_stage_decode (td -. t.req_t0);
+          Metrics.Histogram.observe t.ins.h_stage_apply
+            (Unix.gettimeofday () -. td)
+        end;
+        Front.Reply
+      end
+  | 4 (* stats *) ->
+      if cur.Wire.pos <> limit then Front.Reject "trailing bytes in frame"
+      else begin
+        let td = if t.timed then Unix.gettimeofday () else 0.0 in
+        let st = Cluster.stats t.cluster in
+        Buffer.add_char s '\005';
+        Wire.add_varint s st.Cluster.submitted;
+        Wire.add_varint s st.Cluster.completed;
+        Wire.add_varint s st.Cluster.queued_now;
+        Wire.add_varint s st.Cluster.active_now;
+        Wire.add_varint s st.Cluster.active_size;
+        Wire.add_varint s st.Cluster.max_load;
+        Wire.add_varint s st.Cluster.peak_load;
+        Wire.add_varint s st.Cluster.optimal_now;
+        Wire.add_varint s st.Cluster.reallocations;
+        Wire.add_varint s st.Cluster.tasks_migrated;
+        if t.timed then
+          Metrics.Histogram.observe t.ins.h_stage_apply
+            (Unix.gettimeofday () -. td);
+        Front.Reply
+      end
+  | _ -> Front.Pass
 
-(* One binary frame from the front of [inbuf], if complete. *)
-let handle_binary t inbuf out =
-  let avail = Netbuf.length inbuf in
-  if avail < 3 then `Incomplete
-  else begin
-    let b = Netbuf.bytes inbuf in
-    let off = Netbuf.offset inbuf in
-    let hard = off + avail in
-    t.cur.Wire.pos <- off + 2;
-    match Wire.read_varint b t.cur hard with
-    | exception Wire.Corrupt _ ->
-        if hard - (off + 2) >= Wire.max_varint_bytes then `Poison
-        else `Incomplete
-    | plen ->
-        let ppos = t.cur.Wire.pos in
-        if plen < 0 || plen > Wire.max_payload then `Poison
-        else if ppos + plen > hard then `Incomplete
-        else begin
-          let limit = ppos + plen in
-          if t.timed then t.req_t0 <- Unix.gettimeofday ();
-          let opcode = if plen = 0 then 0 else Char.code (Bytes.get b ppos) in
-          t.cur_op <- opcode;
-          let r =
-            if Char.code (Bytes.get b (off + 1)) <> Wire.version then begin
-              Metrics.Counter.incr t.ins.c_requests;
-              `Error
-                (Printf.sprintf "unsupported wire version %d"
-                   (Char.code (Bytes.get b (off + 1))))
-            end
-            else if plen = 0 then begin
-              Metrics.Counter.incr t.ins.c_requests;
-              `Error "empty frame"
-            end
-            else dispatch t out b ppos limit
-          in
-          Netbuf.consume inbuf (limit - off);
-          (match r with
-          | `Ok ->
-              note_request t ~op:t.cur_op ~size:plen ~ok:true;
-              `Handled
-          | `Error e ->
-              reply_error_binary t out e;
-              note_request t ~op:t.cur_op ~size:plen ~ok:false;
-              `Handled
-          | `Stop ->
-              note_request t ~op:t.cur_op ~size:plen ~ok:true;
-              `Stop)
-        end
-  end
+let handler =
+  {
+    Front.fast;
+    respond = (fun t ~conn:_ req -> (apply t req, None));
+    start = (fun t -> if t.timed then t.req_t0 <- Unix.gettimeofday ());
+    finish = note_request;
+  }
 
-(* One JSON line from the front of [inbuf], if complete. This is the
-   debug path — old clients and humans — so allocation is fine. *)
-let handle_json t inbuf out =
-  match Netbuf.find_byte inbuf '\n' with
-  | None -> `Incomplete
-  | Some i ->
-      if t.timed then t.req_t0 <- Unix.gettimeofday ();
-      let line = Netbuf.sub_string inbuf ~off:0 ~len:i in
-      Netbuf.consume inbuf (i + 1);
-      let emit r =
-        Netbuf.add_string out r;
-        Netbuf.add_char out '\n'
-      in
-      (match handle_line t line with
-      | `Reply (op, ok, r) ->
-          emit r;
-          note_request t ~op ~size:i ~ok;
-          `Handled
-      | `Stop (op, ok, r) ->
-          emit r;
-          note_request t ~op ~size:i ~ok;
-          `Stop)
-
-(* The {!Loop} handler: drain up to [budget] complete requests from
-   [inbuf], dispatching each by its first byte — {!Wire.request_magic}
-   opens a binary frame, anything else is a JSON (or garbage) line —
-   so both encodings interoperate on one connection. *)
 let handle_conn t inbuf out ~budget =
-  let handled = ref 0 in
-  let verdict = ref None in
-  while Option.is_none !verdict && !handled < budget
-        && not (Netbuf.is_empty inbuf) do
-    let r =
-      if Netbuf.get_byte inbuf 0 = Wire.request_magic then
-        handle_binary t inbuf out
-      else handle_json t inbuf out
-    in
-    match r with
-    | `Handled -> incr handled
-    | `Stop ->
-        incr handled;
-        verdict := Some (`Stop !handled)
-    | `Incomplete -> verdict := Some (`Handled !handled)
-    | `Poison ->
-        (* a garbage length prefix desyncs the stream beyond repair:
-           answer with an error and drop whatever else is buffered *)
-        Metrics.Counter.incr t.ins.c_requests;
-        reply_error_binary t out "malformed frame";
-        Netbuf.clear inbuf;
-        incr handled;
-        verdict := Some (`Handled !handled)
-  done;
-  match !verdict with Some r -> r | None -> `Handled !handled
+  match Front.handle handler t t.front ~conn:0 inbuf out ~budget with
+  | `Close n -> `Handled n
+  | (`Handled _ | `Stop _) as r -> r
 
 let close t =
   (try Wal.sync t.wal with Unix.Unix_error _ | Sys_error _ -> ());
@@ -983,7 +813,10 @@ let serve t ~listeners =
        ~tick:(fun () ->
          check_usr1 ();
          tick t ())
-       ~listeners ~handle:(handle_conn t) ()
+       ~listeners
+       ~handle:(fun conn inbuf out ~budget ->
+         Front.handle handler t t.front ~conn inbuf out ~budget)
+       ()
    with e ->
      (* any abnormal exit — crash injection included — leaves the
         black box behind *)

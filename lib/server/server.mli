@@ -26,7 +26,8 @@
     byte) are decoded straight out of the connection's input buffer
     and answered through a reused scratch buffer — no intermediate
     request/response values, strings or JSON on the submit, finish,
-    query and stats opcodes. JSON lines remain fully supported as the
+    query and stats opcodes, rid-tagged or not ({!Front} peels the
+    tag). JSON lines remain fully supported as the
     debug encoding; the two can interleave on one connection.
 
     {b Crash injection.} With [crash_after = Some k], {!Crash} is
@@ -107,6 +108,13 @@ val verify_cluster :
     ({!same_state}). {!create} runs this on the recovered cluster; the
     sharded server runs it on every shard's. *)
 
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents. *)
+
+val rolling_p99 : float array -> int -> float
+(** [rolling_p99 ring pushed]: p99 of a rolling window into which
+    [pushed] samples have been written round-robin. *)
+
 val registry : t -> Pmp_telemetry.Metrics.Registry.t
 val metrics : t -> string
 (** Prometheus dump of the server registry: requests, mutations,
@@ -146,26 +154,17 @@ val handle : t -> Protocol.request -> Protocol.response * bool
     @raise Crash when crash injection trips under [fsync_policy =
     Always] (other policies trip in {!commit}). *)
 
-val handle_line :
-  t ->
-  string ->
-  [ `Reply of int * bool * string | `Stop of int * bool * string ]
-(** {!handle} on the JSON line encoding; a request's ["rid"] member,
-    when present, is echoed on the response. Alongside the encoded
-    response: the request's opcode index (0 for undecodable) and
-    whether it succeeded — what the caller needs to feed latency
-    attribution. *)
-
 val handle_conn :
   t ->
   Netbuf.t ->
   Netbuf.t ->
   budget:int ->
   [ `Handled of int | `Stop of int ]
-(** The {!Loop} handler: drain up to [budget] complete requests from
-    the in-buffer (binary frames and JSON lines, told apart by their
-    first byte), encoding responses into the out-buffer. Returns the
-    number of requests consumed. *)
+(** {!Front.handle} with this server's handler: drain up to [budget]
+    complete requests from the in-buffer (binary frames and JSON
+    lines, told apart by their first byte), encoding responses into
+    the out-buffer. Returns the number of requests consumed; a framing
+    error clears the in-buffer and counts as handled. *)
 
 val commit : t -> unit
 (** Group-commit the pending WAL batch (one write; fsync per policy),

@@ -491,6 +491,53 @@ let test_failover_no_acked_loss () =
         (fun k (_, d) -> if k <> victim then ignore (Domain.join d))
         shards)
 
+(* The router keeps no state per connection: a connection is its
+   own tenant, and the only tenant state — admitted PEs under the quota
+   ledger — leaves with the tenant's last task, even when that task
+   outlives its connection. *)
+let test_router_forgets_connections () =
+  with_dir (fun dir ->
+      let shards = List.init 2 (start_shard ~dir ~machine_size:8) in
+      let sockets = Array.of_list (List.map fst shards) in
+      let router =
+        get_ok ~ctx:"router" (Router.create (router_config ~sockets ~dir))
+      in
+      let fed_path = Filename.concat dir "fed.sock" in
+      let listener = Server.listen_unix fed_path in
+      let rdom =
+        Domain.spawn (fun () -> Router.serve router ~listeners:[ listener ])
+      in
+      let connect () =
+        get_ok ~ctx:"connect" (Client.connect_unix ~proto:Client.Binary fed_path)
+      in
+      for i = 1 to 1000 do
+        let c = connect () in
+        (match Client.request c Protocol.Ping with
+        | Ok Protocol.Pong -> ()
+        | _ -> Alcotest.failf "ping %d" i);
+        if i mod 100 = 0 then begin
+          let gid = submit_acked ~ctx:"submit" c 2 in
+          match Client.request c (Protocol.Finish gid) with
+          | Ok Protocol.Finished -> ()
+          | _ -> Alcotest.failf "finish %d" gid
+        end;
+        Client.close c
+      done;
+      (* a task that outlives its connection keeps its tenant charged
+         until another connection finishes it *)
+      let c = connect () in
+      let gid = submit_acked ~ctx:"orphan submit" c 4 in
+      Client.close c;
+      let c = connect () in
+      (match Client.request c (Protocol.Finish gid) with
+      | Ok Protocol.Finished -> ()
+      | _ -> Alcotest.fail "finish from another connection");
+      shutdown_router c;
+      Client.close c;
+      Domain.join rdom;
+      List.iter (fun (_, d) -> ignore (Domain.join d)) shards;
+      Alcotest.(check int) "no tenant state left" 0 (Router.tenants router))
+
 let suite =
   [
     Alcotest.test_case "fed_id plan and offsets" `Quick test_fed_id_plan;
@@ -504,6 +551,8 @@ let suite =
     Alcotest.test_case "live 3-shard session" `Quick test_live_session;
     Alcotest.test_case "failover keeps every acked task" `Quick
       test_failover_no_acked_loss;
+    Alcotest.test_case "router forgets closed connections" `Quick
+      test_router_forgets_connections;
   ]
   @ Helpers.qtests
       [

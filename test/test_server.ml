@@ -1645,6 +1645,241 @@ let test_multicore_refuses_singlecore_dir () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "sharded server must refuse single-core history")
 
+(* --- one front end for every mode ---------------------------------- *)
+
+module Router = Pmp_federation.Router
+module Wire = Pmp_server.Wire
+
+(* Serve [mode] on a Unix socket for the duration of [f path]: the
+   single-core daemon, a 2-domain sharded one, or a router in front of
+   two single-core shards. Shut down (the whole stack) afterwards. *)
+let with_mode mode f =
+  with_dir (fun dir ->
+      let config sub =
+        {
+          (Server.default_config ~machine_size:64 ~policy:Cluster.Greedy
+             ~dir:(Filename.concat dir sub))
+          with
+          Server.snapshot_every = 0;
+        }
+      in
+      let path = Filename.concat dir "front.sock" in
+      let spawn serve =
+        let listener = Server.listen_unix path in
+        Domain.spawn (fun () -> serve ~listeners:[ listener ])
+      in
+      let domains =
+        match mode with
+        | `Single ->
+            let s = get_ok ~ctx:"server" (Server.create (config "single")) in
+            [ spawn (Server.serve s) ]
+        | `Domains ->
+            let m =
+              get_ok ~ctx:"mserver"
+                (Mserver.create
+                   { Mserver.base = config "sharded"; domains = 2; steal_threshold = 1 })
+            in
+            [ spawn (Mserver.serve m) ]
+        | `Router ->
+            let shards =
+              List.init 2 (fun k ->
+                  let c = config (Printf.sprintf "shard-%d" k) in
+                  let s = get_ok ~ctx:"shard" (Server.create c) in
+                  let sock = Filename.concat c.Server.dir "pmp.sock" in
+                  let l = Server.listen_unix sock in
+                  (sock, Domain.spawn (fun () -> Server.serve s ~listeners:[ l ])))
+            in
+            let router =
+              get_ok ~ctx:"router"
+                (Router.create
+                   {
+                     (Router.default_config
+                        ~sockets:(Array.of_list (List.map fst shards))
+                        ~dir)
+                     with
+                     Router.shutdown_shards = true;
+                   })
+            in
+            spawn (Router.serve router) :: List.map snd shards
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          (match Client.connect_unix path with
+          | Ok client ->
+              ignore (Client.request client Protocol.Shutdown);
+              Client.close client
+          | Error _ -> ());
+          List.iter Domain.join domains)
+        (fun () -> f path))
+
+(* Write [bytes] on a fresh connection, then read until the server
+   closes it (or 10 s pass): the reply bytes and how the read ended. *)
+let exchange path bytes =
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (ADDR_UNIX path);
+      Unix.setsockopt_float fd SO_RCVTIMEO 10.0;
+      ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+      let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+      let rec read_all () =
+        match Unix.read fd chunk 0 4096 with
+        | 0 -> "eof"
+        | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            read_all ()
+        | exception Unix.Unix_error (e, _, _) -> Unix.error_message e
+      in
+      let ending = read_all () in
+      (Buffer.contents buf, ending))
+
+let frame_prefix ~version len =
+  let b = Buffer.create 16 in
+  Buffer.add_char b (Char.chr Wire.request_magic);
+  Buffer.add_char b (Char.chr version);
+  Wire.add_varint b len;
+  Buffer.contents b
+
+(* Input that breaks the framing gets one error reply and the
+   connection closes, in the same bytes whichever mode serves it. A
+   valid ping opens every case, so the connection demonstrably worked
+   up to the bad input. *)
+let test_malformed_input_matrix () =
+  let ping = Protocol.encode_request_binary Protocol.Ping in
+  let pong = Protocol.encode_response_binary Protocol.Pong in
+  let bin_error e = Protocol.encode_response_binary (Protocol.Error e) in
+  let json r = Protocol.encode_response r ^ "\n" in
+  let cases =
+    [
+      ( "wrong wire version",
+        ping ^ frame_prefix ~version:99 2 ^ "\001\008",
+        pong ^ bin_error "unsupported wire version 99" );
+      ("empty frame", ping ^ frame_prefix ~version:Wire.version 0, pong ^ bin_error "empty frame");
+      ( "overlong varint length",
+        ping
+        ^ String.sub (frame_prefix ~version:Wire.version 0) 0 2
+        ^ String.make 10 '\xff',
+        pong ^ bin_error "bad frame length" );
+      ( "length above max_payload",
+        ping ^ frame_prefix ~version:Wire.version (Wire.max_payload + 1),
+        pong ^ bin_error "bad frame length" );
+      ( "unterminated line above max_payload",
+        Protocol.encode_request Protocol.Ping ^ "\n"
+        ^ String.make (Wire.max_payload + 2) 'a',
+        json Protocol.Pong ^ json (Protocol.Error "line too long") );
+    ]
+  in
+  let run mode =
+    with_mode mode (fun path ->
+        List.map (fun (_, input, _) -> exchange path input) cases)
+  in
+  let single = run `Single and domains = run `Domains and router = run `Router in
+  List.iteri
+    (fun i (name, _, expected) ->
+      let check mode (reply, ending) =
+        Alcotest.(check string) (name ^ ": reply, " ^ mode) expected reply;
+        Alcotest.(check string) (name ^ ": closed, " ^ mode) "eof" ending
+      in
+      check "single-core" (List.nth single i);
+      check "--domains=2" (List.nth domains i);
+      check "router" (List.nth router i))
+    cases
+
+(* The complete binary frames at the front of [s]. *)
+let frames s =
+  let n = String.length s in
+  let rec go pos acc =
+    match Wire.get_varint_string s (pos + 2) n with
+    | len, body when pos + 2 < n && body + len <= n ->
+        go (body + len) (String.sub s pos (body + len - pos) :: acc)
+    | _ | (exception Wire.Corrupt _) -> List.rev acc
+  in
+  go 0 []
+
+(* Write [bytes] on a fresh connection and read until [count] complete
+   binary frames are back (or 10 s pass). *)
+let request_frames path bytes ~count =
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (ADDR_UNIX path);
+      Unix.setsockopt_float fd SO_RCVTIMEO 10.0;
+      ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+      let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+      let rec read_more () =
+        if List.length (frames (Buffer.contents buf)) < count then
+          match Unix.read fd chunk 0 4096 with
+          | 0 -> ()
+          | k ->
+              Buffer.add_subbytes buf chunk 0 k;
+              read_more ()
+          | exception Unix.Unix_error _ -> ()
+      in
+      read_more ();
+      Buffer.contents buf)
+
+(* Rid-tagged frames take the hot dispatcher: with latency profiling
+   on, every tagged submit lands an [apply] stage sample, and each
+   reply is exactly the tagged encoding of its response. *)
+let test_tagged_frames_fast_path () =
+  let n = 48 in
+  let rid i = 1000 + (7 * i) in
+  let replies, dump =
+    with_dir (fun dir ->
+        let config =
+          {
+            (Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir) with
+            Server.latency_profile = true;
+          }
+        in
+        let path = Filename.concat dir "pmp.sock" in
+        let server = get_ok ~ctx:"server" (Server.create config) in
+        let listener = Server.listen_unix path in
+        let domain =
+          Domain.spawn (fun () -> Server.serve server ~listeners:[ listener ])
+        in
+        let request =
+          String.concat ""
+            (List.init n (fun i ->
+                 Protocol.encode_request_binary ~rid:(rid i) (Protocol.Submit 1)))
+        in
+        let replies = request_frames path request ~count:n in
+        let dump =
+          match Client.connect_unix path with
+          | Error _ -> ""
+          | Ok client ->
+              let dump =
+                match Client.request client Protocol.Metrics with
+                | Ok (Protocol.Metrics_reply dump) -> dump
+                | _ -> ""
+              in
+              ignore (Client.request client Protocol.Shutdown);
+              Client.close client;
+              dump
+        in
+        Domain.join domain;
+        (replies, dump))
+  in
+  let frames = frames replies in
+  Alcotest.(check int) "one reply per tagged submit" n (List.length frames);
+  List.iteri
+    (fun i frame ->
+      let limit = String.length frame in
+      let _, body = Wire.get_varint_string frame 2 limit in
+      match Protocol.decode_response_payload_rid frame ~pos:body ~limit with
+      | Ok ((Protocol.Placed _ as resp), Some r) ->
+          Alcotest.(check int) "rid echoed" (rid i) r;
+          Alcotest.(check string)
+            (Printf.sprintf "reply %d bytes" i)
+            (Protocol.encode_response_binary ~rid:(rid i) resp)
+            frame
+      | _ -> Alcotest.failf "reply %d: not a tagged placement" i)
+    frames;
+  Alcotest.(check int) "one apply sample per tagged submit" n
+    (scraped_count (scrape_buckets dump "pmpd_stage_seconds" "stage=\"apply\""))
+
 let suite =
   [
     ("decode errors", `Quick, test_decode_errors);
@@ -1683,6 +1918,8 @@ let suite =
     ("multicore stealing", `Quick, test_multicore_steal);
     ("multicore recovery", `Quick, test_multicore_recovery);
     ("multicore refuses single-core dir", `Quick, test_multicore_refuses_singlecore_dir);
+    ("malformed-input matrix", `Quick, test_malformed_input_matrix);
+    ("tagged frames take the fast path", `Quick, test_tagged_frames_fast_path);
   ]
   @ Helpers.qtests
       [
