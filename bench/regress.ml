@@ -44,6 +44,13 @@ let min_multicore_speedup = 2.0
    this factor over the same matrix point with telemetry disabled *)
 let max_observability_overhead = 1.05
 
+(* the shipped-defaults durability gate: a live-state snapshot costs a
+   few bytes per live task (an id gap, an order byte, a submachine
+   index and a copy number as varints) plus a fixed header, so at the
+   probe's thousands of live tasks it stays far below this; a history
+   snapshot grew with every mutation ever made *)
+let max_snapshot_bytes_per_live_task = 16.0
+
 (* the federation ceiling: a request through the router pays one extra
    socket hop plus the upstream shard's own group commit, serialized
    per request on a single connection, so federated ns/request is
@@ -304,6 +311,53 @@ let service_probe calib =
       ("words_per_request", Json.Num words);
     ]
 
+(* The durability probe: the shipped defaults (binary protocol, group
+   commit, a snapshot every 1024 mutations) under the same Loadgen
+   workload. The deterministic outcome is gated hard: the state
+   directory holds exactly one snapshot, and its size is bounded per
+   live task. Wall-clock is recorded only. *)
+let durability_probe calib =
+  let module L = Pmp_server.Loadgen in
+  let snapshot_every = 1024 and requests = 30_000 in
+  let result =
+    L.with_local_service ~snapshot_every (fun socket ->
+        match Pmp_server.Client.connect_unix ~proto:Pmp_server.Client.Binary socket with
+        | Error e -> Error e
+        | Ok c ->
+            Fun.protect
+              ~finally:(fun () -> Pmp_server.Client.close c)
+              (fun () ->
+                let gen = L.make_gen ~seed:0xB00 ~machine_size:256 in
+                match L.drive c gen ~requests ~window:32 () with
+                | Error e -> Error e
+                | Ok o -> (
+                    match Pmp_server.Client.request c Pmp_server.Protocol.Stats with
+                    | Ok (Pmp_server.Protocol.Stats_reply st) ->
+                        Ok (o, st.Pmp_cluster.Cluster.active_now, L.snapshot_files socket)
+                    | Ok _ -> Error "stats: unexpected reply"
+                    | Error e -> Error e)))
+  in
+  match result with
+  | Error e -> failwith ("durability probe: " ^ e)
+  | Ok (o, live, files) ->
+      let bytes = List.fold_left (fun acc (_, b) -> acc + b) 0 files in
+      Json.Obj
+        [
+          ("case", Json.Str "durability: shipped defaults (binary+group, snapshot every 1024)");
+          ("requests", Json.Num (float_of_int o.L.requests));
+          ("mutations", Json.Num (float_of_int o.L.mutations));
+          ("errors", Json.Num (float_of_int o.L.errors));
+          ("snapshot_every", Json.Num (float_of_int snapshot_every));
+          ("snapshot_files", Json.Num (float_of_int (List.length files)));
+          ("snapshot_bytes", Json.Num (float_of_int bytes));
+          ("live_tasks", Json.Num (float_of_int live));
+          ( "snapshot_bytes_per_live_task",
+            Json.Num (float_of_int bytes /. float_of_int (max 1 live)) );
+          ("max_snapshot_bytes_per_live_task", Json.Num max_snapshot_bytes_per_live_task);
+          ("ns_per_request", Json.Num (Float.round (L.ns_per_request o)));
+          ("norm_ns_per_request", Json.Num (L.ns_per_request o /. calib));
+        ]
+
 (* The multicore gate: the same Loadgen workload, four connections,
    against a single-domain and a four-shard daemon. Wall-clock on both
    sides of the ratio, same host, so it transports like the other
@@ -548,7 +602,7 @@ let scenario_verdicts () =
         Pmp_scenario.Verdict.golden_json verdict ))
     Pmp_scenario.Registry.fast_subset
 
-let report calib cases speedup service multicore federation scenarios =
+let report calib cases speedup service durability multicore federation scenarios =
   Json.Obj
     [
       ("suite", Json.Str "pmp bench-regress");
@@ -559,6 +613,7 @@ let report calib cases speedup service multicore federation scenarios =
       ("cases", Json.Obj cases);
       ("speedup", speedup);
       ("service", service);
+      ("durability", durability);
       ("multicore", multicore);
       ("federation", federation);
       ("scenarios", Json.Obj scenarios);
@@ -698,6 +753,28 @@ let check_service ~tolerance baseline sv =
         vs "words_per_request" false @ vs "norm_ns_per_request" true
   in
   floor_failures @ overhead_failures @ baseline_failures
+
+(* The durability gates, on deterministic fields only: one snapshot
+   file left, and its bytes per live task under the ceiling. *)
+let check_durability du =
+  let fail msg = [ { key = "durability"; msg; timing = false } ] in
+  let files = get_num "durability" du "snapshot_files"
+  and per_task = get_num "durability" du "snapshot_bytes_per_live_task"
+  and live = get_num "durability" du "live_tasks" in
+  (if files <> 1.0 then
+     fail
+       (Printf.sprintf "durability: %.0f snapshot files left, expected exactly 1"
+          files)
+   else [])
+  @ (if live < 1.0 then fail "durability: no live tasks at the end of the probe"
+     else [])
+  @
+  if per_task > max_snapshot_bytes_per_live_task then
+    fail
+      (Printf.sprintf
+         "durability: snapshot takes %.1f bytes per live task (ceiling %.0f)"
+         per_task max_snapshot_bytes_per_live_task)
+  else []
 
 (* The multicore gate: an absolute speedup floor like the service one.
    A probe that recorded itself as skipped gates nothing — the report
@@ -898,6 +975,14 @@ let () =
     (Option.value ~default:nan service_speedup)
     (Option.value ~default:nan service_words)
     ((Option.value ~default:nan service_overhead -. 1.0) *. 100.0);
+  Printf.printf "measuring durability on shipped defaults (snapshot every 1024)...\n%!";
+  let du = durability_probe calib in
+  Printf.printf "durability: %.0f snapshot file(s), %.1f bytes per live task (ceiling %.0f)\n%!"
+    (Option.value ~default:nan
+       (Option.bind (Json.member "snapshot_files" du) Json.to_float))
+    (Option.value ~default:nan
+       (Option.bind (Json.member "snapshot_bytes_per_live_task" du) Json.to_float))
+    max_snapshot_bytes_per_live_task;
   Printf.printf "measuring multicore scaling (domains=4 vs domains=1)...\n%!";
   let mc = multicore_probe () in
   (match Json.member "skipped" mc with
@@ -968,6 +1053,7 @@ let () =
   let failures =
     check_speedup sp
     @ check_service ~tolerance:!tolerance baseline sv
+    @ check_durability du
     @ check_multicore mc
     @ check_federation baseline fd
     @ check_scenarios baseline scenarios
@@ -981,7 +1067,7 @@ let () =
   let hard, soft =
     List.partition (fun f -> !strict_time || not f.timing) failures
   in
-  let rep = report calib !cases sp sv mc fd scenarios in
+  let rep = report calib !cases sp sv du mc fd scenarios in
   Json.to_file !out rep;
   Printf.printf "wrote %s (%d cases)\n%!" !out (List.length !cases);
   if !update_baseline then begin

@@ -76,7 +76,8 @@ let stage_quantiles dump stage =
       Some (q 0.5, q 0.99, q 0.999, total)
   | _ -> None
 
-let point ~label ~proto ~fsync_policy ~wal_format ?(latency_profile = false) () =
+let point ~label ~proto ~fsync_policy ~wal_format ?(latency_profile = false)
+    ?(snapshot_every = 0) () =
   Printf.printf "running %-14s ...%!" label;
   let requests = requests_for fsync_policy in
   let latency =
@@ -84,7 +85,7 @@ let point ~label ~proto ~fsync_policy ~wal_format ?(latency_profile = false) () 
   in
   let result =
     L.with_local_service ~fsync_policy ~wal_format ~latency_profile
-      (fun socket ->
+      ~snapshot_every (fun socket ->
         match Client.connect_unix ~proto socket with
         | Error e -> Error e
         | Ok c ->
@@ -100,11 +101,17 @@ let point ~label ~proto ~fsync_policy ~wal_format ?(latency_profile = false) () 
                       | Ok (Protocol.Metrics_reply m) -> m
                       | Ok _ | Error _ -> ""
                     in
-                    Ok (outcome, dump)))
+                    let live =
+                      match Client.request c Protocol.Stats with
+                      | Ok (Protocol.Stats_reply st) ->
+                          st.Pmp_cluster.Cluster.active_now
+                      | Ok _ | Error _ -> 0
+                    in
+                    Ok (outcome, dump, live, L.snapshot_files socket)))
   in
   match result with
   | Error e -> failwith (Printf.sprintf "service bench (%s): %s" label e)
-  | Ok (o, dump) ->
+  | Ok (o, dump, live, snapshots) ->
       let metric name = Option.value ~default:nan (metric_value dump name) in
       let group_count = metric "pmpd_wal_group_size_count" in
       let group_sum = metric "pmpd_wal_group_size_sum" in
@@ -138,9 +145,30 @@ let point ~label ~proto ~fsync_policy ~wal_format ?(latency_profile = false) () 
               "    stage %-10s p50 %8.1f us  p99 %8.1f us  p999 %8.1f us\n%!"
               stage (f "p50_us") (f "p99_us") (f "p999_us"))
           stages;
+      (* the durable state a shipped-defaults daemon leaves behind:
+         one live-state snapshot, sized by the live tasks *)
+      let durability =
+        if snapshot_every = 0 then []
+        else begin
+          let bytes = List.fold_left (fun acc (_, b) -> acc + b) 0 snapshots in
+          let per_task = float_of_int bytes /. float_of_int (max 1 live) in
+          Printf.printf "    snapshots: %d file(s), %d bytes, %d live tasks (%.1f B/task)\n%!"
+            (List.length snapshots) bytes live per_task;
+          [
+            ("snapshot_every", Json.Num (float_of_int snapshot_every));
+            ("snapshots_total", Json.Num (metric "pmpd_snapshots_total"));
+            ("snapshot_seconds_sum", Json.Num (metric "pmpd_snapshot_seconds_sum"));
+            ("snapshot_files", Json.Num (float_of_int (List.length snapshots)));
+            ("snapshot_bytes", Json.Num (float_of_int bytes));
+            ("live_tasks", Json.Num (float_of_int live));
+            ("snapshot_bytes_per_live_task", Json.Num per_task);
+          ]
+        end
+      in
       Json.Obj
         ((if stages = [] then []
           else [ ("server_stages", Json.Obj stages) ])
+        @ durability
         @ [
           ("label", Json.Str label);
           ("proto", Json.Str (Client.proto_name proto));
@@ -405,7 +433,14 @@ let () =
   (* the federation corner: one router in front of three shard daemons,
      same binary+group fast path on every hop *)
   let p7 = point_federation ~label:"fed+3shards" ~shards:3 () in
-  let points = [ p1; p2; p3; p4; p5; p6; p7 ] in
+  (* the shipped defaults: binary protocol, group commit and a live-state
+     snapshot every 1024 mutations, as `pmp serve` runs out of the box *)
+  let p8 =
+    point ~label:"binary+group+snap1024" ~proto:Client.Binary
+      ~fsync_policy:Wal.Group ~wal_format:Wal.Binary_records
+      ~snapshot_every:1024 ()
+  in
+  let points = [ p1; p2; p3; p4; p5; p6; p7; p8 ] in
   let words =
     match L.words_per_request () with
     | Ok w -> w

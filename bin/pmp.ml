@@ -448,7 +448,10 @@ let serve_cmd =
     Arg.(value & opt string "binary" & info [ "wal-format" ] ~docv:"FMT" ~doc)
   in
   let snapshot_arg =
-    let doc = "Write a snapshot every $(docv) mutations (0 = on demand only)." in
+    let doc =
+      "Write a live-state snapshot every $(docv) mutations (0 = on demand \
+       only); the WAL is then truncated and the previous snapshot deleted."
+    in
     Arg.(value & opt int 1024 & info [ "snapshot-every" ] ~docv:"K" ~doc)
   in
   let crash_arg =

@@ -32,17 +32,29 @@ type policy =
 
 val policy_name : policy -> string
 
+val make_allocator : policy -> Pmp_machine.Machine.t -> Pmp_core.Allocator.t
+(** A fresh allocator of the policy: the one {!create} builds. *)
+
 type t
 
 val create :
   machine_size:int ->
   policy:policy ->
   ?admission_cap:float option ->
+  ?trace:(Pmp_workload.Event.t -> unit) ->
   unit ->
   (t, string) result
 (** [admission_cap] (default [None] = the paper's real-time model)
     caps the cumulative active size at [cap *. machine_size]; excess
-    submissions queue FIFO. *)
+    submissions queue FIFO.
+
+    The cluster keeps no history: its memory is a function of the live
+    tasks. [trace] is handed every event the {e allocator} sees, in
+    order — admissions as arrivals (queued tasks when they are actually
+    placed) and completions of admitted tasks as departures — so a
+    caller that wants the traffic ("what would d = 4 have cost us
+    yesterday?") can keep it, or feed it to the conformance oracle. The
+    events form a valid {!Pmp_workload.Sequence.t}. *)
 
 type submission = Placed of Pmp_workload.Task.id * Pmp_core.Placement.t
                 | Queued of Pmp_workload.Task.id
@@ -78,13 +90,6 @@ val stats : t -> stats
 val leaf_loads : t -> int array
 val machine_size : t -> int
 
-val events : t -> Pmp_workload.Event.t list
-(** The allocator-visible history as a plain event list, oldest first —
-    the same events {!history} validates into a sequence. This is the
-    externalisable state: together with {!queued_tasks}, {!next_id} and
-    the submit/complete counters it determines the cluster exactly (see
-    {!restore}). *)
-
 val queued_tasks : t -> (Pmp_workload.Task.id * int) list
 (** Queued [(id, size)] pairs in FIFO admission order. *)
 
@@ -108,18 +113,74 @@ val restore :
   completed:int ->
   unit ->
   (t, string) result
-(** Rebuild a cluster from externalised state: replays [events] through
-    a fresh allocator of [policy] (allocator internals, mirror, peak
-    load and migration counters are deterministic functions of the
-    history), then re-enqueues [queued] and installs the counters.
+(** Rebuild a cluster from an allocator-visible history (as collected
+    through [create ~trace]): replays [events] through a fresh
+    allocator of [policy] (allocator internals, mirror, peak load and
+    migration counters are deterministic functions of the history),
+    then re-enqueues [queued] and installs the counters.
     Errors if the history is not a valid sequence, a queued task
     collides with a history id or violates the admission rules, or the
-    counters do not balance the live tasks. *)
+    counters do not balance the live tasks. The reference that
+    {!adopt} is tested against; recovery uses {!adopt}. *)
 
-val history : t -> Pmp_workload.Sequence.t
-(** The traffic the {e allocator} has seen so far — admissions as
-    arrivals (in admission order, so queued tasks appear when they were
-    actually placed) and completions of admitted tasks as departures.
-    Always a valid sequence; replay it through {!Pmp_sim.Engine} to
-    compare alternative policies on exactly the traffic a live cluster
-    served ("what would d = 4 have cost us yesterday?"). *)
+(** {1 Live state}
+
+    Everything that determines the cluster's future decisions is a
+    function of its live state: the active placements, the queue, the
+    counters and the allocator's scalar {!Pmp_core.Allocator.carry}
+    (budget accumulator, PRNG state). Copy-stack free space is the
+    complement of the occupied set, and load views are sums over it. *)
+
+module State : sig
+  type t = {
+    next_id : int;
+    submitted : int;
+    completed : int;
+    peak_load : int;  (** high-water mark of the max load *)
+    tasks_migrated : int;
+    carry : Pmp_core.Allocator.carry;
+        (** includes [realloc_count], the [reallocations] statistic *)
+    live : (Pmp_workload.Task.t * Pmp_core.Placement.t) array;
+        (** active tasks and their homes: ascending id from {!export},
+            any order for {!adopt} *)
+    queued : (Pmp_workload.Task.id * int) list;  (** FIFO admission order *)
+  }
+end
+
+val export : t -> State.t
+(** The live state, O(live log live). *)
+
+val iter_live : t -> (int -> int -> int -> int -> unit) -> unit
+(** [iter_live t f] calls [f id order index copy] for every active task
+    and its home (submachine [(order, index)] of virtual copy [copy]),
+    in unspecified order, over flat arrays and allocating nothing: the
+    snapshot writer's view of {!export}'s [live]. *)
+
+val carry : t -> Pmp_core.Allocator.carry
+(** The allocator's scalar state ({!export}'s [carry]). *)
+
+val adopt :
+  machine_size:int ->
+  policy:policy ->
+  ?admission_cap:float option ->
+  ?trace:(Pmp_workload.Event.t -> unit) ->
+  State.t ->
+  (t, string) result
+(** A cluster in exactly the exported state, built without replaying
+    any history: the placements are installed into a fresh allocator
+    ({!Pmp_core.Allocator.t.adopt}), the queue and counters are set.
+    From then on it makes the same decisions, byte for byte, as the
+    cluster the export was taken from. O(live + queue) apart from the
+    allocator's own inserts. Errors when the export is inconsistent:
+    overlapping copy-stack placements, ids at or above [next_id], a
+    queued id that is live, a queue head that would fit, counters that
+    do not balance, a peak load below the live load. *)
+
+val audit : t -> (unit, string) result
+(** Structural audit of the live state in O(live log live + N):
+    every placement fits its task inside the machine; on copy-stack
+    policies live tasks of one copy are disjoint; every leaf's load
+    equals an independent recount of the placements, and the max load
+    is their maximum and at most the peak; the counters balance live +
+    queued tasks and every id is below [next_id]; the allocator's own
+    placement view equals an independent table of the live set. *)

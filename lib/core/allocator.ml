@@ -4,6 +4,10 @@ module Task = Pmp_workload.Task
 type move = { task : Task.t; from_ : Placement.t; to_ : Placement.t }
 type response = { placement : Placement.t; moves : move list }
 
+type carry = { arrived_since_repack : int; realloc_count : int; rng_state : int64 }
+
+let no_carry = { arrived_since_repack = 0; realloc_count = 0; rng_state = 0L }
+
 type t = {
   name : string;
   machine : Pmp_machine.Machine.t;
@@ -11,7 +15,12 @@ type t = {
   remove : Task.id -> unit;
   placements : unit -> (Task.t * Placement.t) list;
   realloc_events : unit -> int;
+  carry : unit -> carry;
+  adopt : carry -> (Task.t * Placement.t) list -> unit;
 }
+
+let adopt_unsupported name _ _ =
+  invalid_arg (name ^ ": adoption is not supported")
 
 let sub_in_machine machine sub =
   Sub.order sub >= 0
@@ -59,3 +68,16 @@ let check_response ?active alloc task resp =
           end
       in
       moves resp.moves
+
+let check_adoptable who machine live =
+  let seen = Hashtbl.create (List.length live) in
+  List.iter
+    (fun ((task : Task.t), (p : Placement.t)) ->
+      if Hashtbl.mem seen task.Task.id then
+        invalid_arg (Printf.sprintf "%s: task %d adopted twice" who task.Task.id);
+      Hashtbl.add seen task.Task.id ();
+      if Sub.size p.sub <> task.Task.size || not (sub_in_machine machine p.sub)
+      then
+        invalid_arg
+          (Printf.sprintf "%s: task %d does not fit its placement" who task.Task.id))
+    live

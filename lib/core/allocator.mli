@@ -28,6 +28,20 @@ type response = {
           arrival triggered; excludes the arriving task itself *)
 }
 
+type carry = {
+  arrived_since_repack : int;
+      (** PEs arrived since the last repack: the d·N budget accumulator
+          of the budgeted copy-stack and hybrid policies; 0 elsewhere *)
+  realloc_count : int;  (** what [realloc_events] reports *)
+  rng_state : int64;
+      (** SplitMix64 state of a randomized policy; [0L] elsewhere *)
+}
+(** The scalar state an allocator carries beside its live placements.
+    Together with the placements it determines every later decision. *)
+
+val no_carry : carry
+(** All zero: the carry of a fresh deterministic allocator. *)
+
 type t = {
   name : string;
   machine : Pmp_machine.Machine.t;
@@ -39,7 +53,34 @@ type t = {
       (** all active tasks and their current homes. *)
   realloc_events : unit -> int;
       (** number of reallocation (repack) operations performed. *)
+  carry : unit -> carry;
+  adopt : carry -> (Pmp_workload.Task.t * Placement.t) list -> unit;
+      (** Install live placements and a carry into a {e fresh}
+          allocator (no task seen yet) without running any placement
+          decision. Afterwards the allocator answers every request as
+          the one whose [placements ()] and [carry ()] were taken would
+          have. Copy-stack policies reserve each placement in its copy,
+          so the free blocks are those the live set leaves; load-based
+          policies add each placement to their load view.
+          @raise Invalid_argument if the allocator is not fresh, a
+          placement does not fit its task or the machine, two
+          placements of one copy overlap on a copy-stack policy, or the
+          allocator does not support adoption (baselines). *)
 }
+
+val adopt_unsupported : string -> carry -> (Pmp_workload.Task.t * Placement.t) list -> unit
+(** The [adopt] of an allocator that cannot be adopted into: raises
+    [Invalid_argument] naming it. *)
+
+val check_adoptable :
+  string ->
+  Pmp_machine.Machine.t ->
+  (Pmp_workload.Task.t * Placement.t) list ->
+  unit
+(** [check_adoptable who machine live] raises [Invalid_argument] (prefixed
+    with [who]) unless every placement has its task's size, lies inside
+    the machine, and no id repeats. Shared by the [adopt]
+    implementations. *)
 
 val check_response :
   ?active:(Pmp_workload.Task.id -> bool) ->

@@ -33,6 +33,8 @@ let make ?backend m ~name ~choose : Allocator.t =
     remove;
     placements;
     realloc_events = (fun () -> 0);
+    carry = (fun () -> Allocator.no_carry);
+    adopt = Allocator.adopt_unsupported name;
   }
 
 let min_load arr = Array.fold_left min arr.(0) arr
@@ -106,6 +108,8 @@ let two_choice ?backend m ~rng : Allocator.t =
     remove;
     placements;
     realloc_events = (fun () -> 0);
+    carry = (fun () -> Allocator.no_carry);
+    adopt = Allocator.adopt_unsupported "two-choice";
   }
 
 let worst_fit ?backend m =

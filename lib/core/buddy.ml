@@ -53,6 +53,30 @@ let alloc_best_fit t ~order =
   in
   Option.map (claim t ~order) best
 
+let reserve t sub =
+  let start = Sub.first_leaf sub and order = Sub.order sub in
+  (* the only free block that can hold [sub] is the last one starting
+     at or before it; both are aligned, so a large enough one covers it *)
+  match IntMap.find_last_opt (fun s -> s <= start) t.blocks with
+  | Some (s, o) when o >= order && start < s + (1 lsl o) ->
+      t.blocks <- IntMap.remove s t.blocks;
+      let rec split s o =
+        if o > order then begin
+          let half = s + (1 lsl (o - 1)) in
+          if start >= half then begin
+            t.blocks <- IntMap.add s (o - 1) t.blocks;
+            split half (o - 1)
+          end
+          else begin
+            t.blocks <- IntMap.add half (o - 1) t.blocks;
+            split s (o - 1)
+          end
+        end
+      in
+      split s o;
+      t.free_pes <- t.free_pes - (1 lsl order)
+  | Some _ | None -> invalid_arg "Buddy.reserve: region not (wholly) vacant"
+
 let free t sub =
   let start = Sub.first_leaf sub and order = Sub.order sub in
   (* reject double frees: no free block may overlap [start, start+2^order) *)

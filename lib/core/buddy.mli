@@ -27,6 +27,14 @@ val alloc_best_fit : t -> order:int -> Pmp_machine.Submachine.t option
     among equally small ones), so large blocks are preserved for large
     requests. Same failure condition as {!alloc}. *)
 
+val reserve : t -> Pmp_machine.Submachine.t -> unit
+(** Claim exactly this submachine: split the free block holding it
+    down to its size, keeping the other halves free. Reserving the
+    occupied blocks of a copy, in any order, leaves the same coalesced
+    free blocks as any history that ends with them occupied — the
+    adoption path of the copy-stack allocators.
+    @raise Invalid_argument if any PE of it is already allocated. *)
+
 val free : t -> Pmp_machine.Submachine.t -> unit
 (** Release a previously allocated submachine.
     @raise Invalid_argument if any PE of it is already vacant. *)

@@ -18,6 +18,15 @@ let create ?(fit = Copystack.Leftmost) m : Allocator.t =
         Hashtbl.remove table id
   in
   let placements () = Hashtbl.fold (fun _ tp acc -> tp :: acc) table [] in
+  let adopt _ live =
+    if Hashtbl.length table > 0 then invalid_arg "Copies.adopt: not fresh";
+    Allocator.check_adoptable "Copies.adopt" m live;
+    List.iter
+      (fun ((task : Task.t), p) ->
+        Copystack.reserve stack p;
+        Hashtbl.replace table task.id (task, p))
+      live
+  in
   {
     Allocator.name =
       (match fit with
@@ -28,4 +37,6 @@ let create ?(fit = Copystack.Leftmost) m : Allocator.t =
     remove;
     placements;
     realloc_events = (fun () -> 0);
+    carry = (fun () -> Allocator.no_carry);
+    adopt;
   }

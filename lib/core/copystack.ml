@@ -40,6 +40,13 @@ let trim t =
   done;
   if !n < Array.length t.copies then t.copies <- Array.sub t.copies 0 !n
 
+let reserve t (p : Placement.t) =
+  let n = Array.length t.copies in
+  if p.copy >= n then
+    t.copies <-
+      Array.append t.copies (Array.init (p.copy + 1 - n) (fun _ -> Buddy.create t.m));
+  Buddy.reserve t.copies.(p.copy) p.sub
+
 let free t (p : Placement.t) =
   if p.copy >= Array.length t.copies then
     invalid_arg "Copystack.free: unknown copy";

@@ -25,6 +25,13 @@ val alloc : t -> order:int -> Placement.t
     is too fragmented. Never fails (the stack grows as needed).
     @raise Invalid_argument if [order] exceeds the machine. *)
 
+val reserve : t -> Placement.t -> unit
+(** Claim exactly this placement, growing the stack to its copy. After
+    reserving a live set into a fresh stack, the stack is the one any
+    history ending in that live set leaves: every copy's free blocks
+    are coalesced, and the top copy is occupied (or the only one).
+    @raise Invalid_argument if the region is already allocated. *)
+
 val free : t -> Placement.t -> unit
 (** Release a placement previously returned by [alloc].
     @raise Invalid_argument on unknown copies or double frees. *)

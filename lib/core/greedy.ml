@@ -24,6 +24,15 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m : Allocator.t 
         Hashtbl.remove table id
   in
   let placements () = Hashtbl.fold (fun _ tp acc -> tp :: acc) table [] in
+  let adopt _ live =
+    if Hashtbl.length table > 0 then invalid_arg "Greedy.adopt: not fresh";
+    Allocator.check_adoptable "Greedy.adopt" m live;
+    List.iter
+      (fun ((task : Task.t), (p : Placement.t)) ->
+        Load_view.add loads p.sub 1;
+        Hashtbl.replace table task.id (task, p))
+      live
+  in
   {
     Allocator.name = "greedy";
     machine = m;
@@ -31,4 +40,6 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m : Allocator.t 
     remove;
     placements;
     realloc_events = (fun () -> 0);
+    carry = (fun () -> Allocator.no_carry);
+    adopt;
   }

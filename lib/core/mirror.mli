@@ -30,6 +30,12 @@ val placement : t -> Pmp_workload.Task.id -> Placement.t option
 val active : t -> (Pmp_workload.Task.t * Placement.t) list
 (** Active tasks in unspecified order. *)
 
+val iter_flat : t -> (int -> int -> int -> int -> unit) -> unit
+(** [iter_flat t f] calls [f id order index copy] for every active
+    task (its submachine is [(order, index)]), in unspecified order.
+    Reads only flat int arrays — no table, task or placement records —
+    and allocates nothing. *)
+
 val num_active : t -> int
 val active_size : t -> int
 

@@ -33,6 +33,17 @@ let create m : Allocator.t =
         Hashtbl.remove table id
   in
   let placements () = Hashtbl.fold (fun _ tp acc -> tp :: acc) table [] in
+  let adopt (c : Allocator.carry) live =
+    if Hashtbl.length table > 0 || !reallocs > 0 then
+      invalid_arg "Optimal.adopt: not fresh";
+    Allocator.check_adoptable "Optimal.adopt" m live;
+    List.iter
+      (fun ((task : Task.t), p) ->
+        Copystack.reserve !stack p;
+        Hashtbl.replace table task.id (task, p))
+      live;
+    reallocs := c.Allocator.realloc_count
+  in
   {
     Allocator.name = "optimal";
     machine = m;
@@ -40,4 +51,6 @@ let create m : Allocator.t =
     remove;
     placements;
     realloc_events = (fun () -> !reallocs);
+    carry = (fun () -> { Allocator.no_carry with realloc_count = !reallocs });
+    adopt;
   }

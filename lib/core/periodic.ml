@@ -57,6 +57,25 @@ let copy_branch m ~d ~eager ~name ~probe : Allocator.t =
         Hashtbl.remove table id
   in
   let placements () = Hashtbl.fold (fun _ tp acc -> tp :: acc) table [] in
+  let adopt (c : Allocator.carry) live =
+    if Hashtbl.length table > 0 || !reallocs > 0 || !arrived_since_repack > 0
+    then invalid_arg "Periodic.adopt: not fresh";
+    Allocator.check_adoptable "Periodic.adopt" m live;
+    List.iter
+      (fun ((task : Task.t), p) ->
+        Copystack.reserve !stack p;
+        Hashtbl.replace table task.id (task, p))
+      live;
+    arrived_since_repack := c.Allocator.arrived_since_repack;
+    reallocs := c.Allocator.realloc_count
+  in
+  let carry () =
+    {
+      Allocator.arrived_since_repack = !arrived_since_repack;
+      realloc_count = !reallocs;
+      rng_state = 0L;
+    }
+  in
   {
     Allocator.name;
     machine = m;
@@ -64,6 +83,8 @@ let copy_branch m ~d ~eager ~name ~probe : Allocator.t =
     remove;
     placements;
     realloc_events = (fun () -> !reallocs);
+    carry;
+    adopt;
   }
 
 let create ?(force_copies = false) ?(eager = false) ?(probe = Probe.noop)

@@ -19,6 +19,17 @@ let create m ~rng : Allocator.t =
     Hashtbl.remove table id
   in
   let placements () = Hashtbl.fold (fun _ tp acc -> tp :: acc) table [] in
+  let adopt (c : Allocator.carry) live =
+    if Hashtbl.length table > 0 then invalid_arg "Randomized.adopt: not fresh";
+    Allocator.check_adoptable "Randomized.adopt" m live;
+    List.iter
+      (fun ((task : Task.t), p) -> Hashtbl.replace table task.id (task, p))
+      live;
+    Pmp_prng.Splitmix64.set_state rng c.Allocator.rng_state
+  in
+  let carry () =
+    { Allocator.no_carry with rng_state = Pmp_prng.Splitmix64.state rng }
+  in
   {
     Allocator.name = "randomized";
     machine = m;
@@ -26,4 +37,6 @@ let create m ~rng : Allocator.t =
     remove;
     placements;
     realloc_events = (fun () -> 0);
+    carry;
+    adopt;
   }

@@ -2,8 +2,8 @@ module Task = Pmp_workload.Task
 module Load_view = Pmp_index.Load_view
 module Probe = Pmp_telemetry.Probe
 
-let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m ~name ~d
-    ~choose : Allocator.t =
+let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) ?rng m ~name
+    ~d ~choose : Allocator.t =
   let table : (Task.id, Task.t * Placement.t) Hashtbl.t = Hashtbl.create 64 in
   let loads = Load_view.create ~backend m in
   let active_size = ref 0 in
@@ -69,6 +69,27 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m ~name ~d
         Hashtbl.remove table id
   in
   let placements () = Hashtbl.fold (fun _ tp acc -> tp :: acc) table [] in
+  let adopt (c : Allocator.carry) live =
+    if Hashtbl.length table > 0 || !reallocs > 0 || !arrived_since_repack > 0
+    then invalid_arg (name ^ ".adopt: not fresh");
+    Allocator.check_adoptable (name ^ ".adopt") m live;
+    List.iter
+      (fun ((task : Task.t), (p : Placement.t)) ->
+        Load_view.add loads p.Placement.sub 1;
+        active_size := !active_size + task.Task.size;
+        Hashtbl.replace table task.id (task, p))
+      live;
+    arrived_since_repack := c.Allocator.arrived_since_repack;
+    reallocs := c.Allocator.realloc_count;
+    Option.iter (fun g -> Pmp_prng.Splitmix64.set_state g c.Allocator.rng_state) rng
+  in
+  let carry () =
+    {
+      Allocator.arrived_since_repack = !arrived_since_repack;
+      realloc_count = !reallocs;
+      rng_state = (match rng with Some g -> Pmp_prng.Splitmix64.state g | None -> 0L);
+    }
+  in
   {
     Allocator.name = name;
     machine = m;
@@ -76,4 +97,6 @@ let create ?(probe = Probe.noop) ?(backend = Load_view.Indexed) m ~name ~d
     remove;
     placements;
     realloc_events = (fun () -> !reallocs);
+    carry;
+    adopt;
   }

@@ -19,6 +19,7 @@
 val create :
   ?probe:Pmp_telemetry.Probe.t ->
   ?backend:Pmp_index.Load_view.backend ->
+  ?rng:Pmp_prng.Splitmix64.t ->
   Pmp_machine.Machine.t ->
   name:string ->
   d:Realloc.t ->
@@ -27,4 +28,5 @@ val create :
 (** [choose loads ~order] must return a submachine of size [2{^order}]
     inside the machine; the skeleton handles everything else. [?probe]
     (default {!Pmp_telemetry.Probe.noop}) receives one [record_repack]
-    per reallocation event. *)
+    per reallocation event. [?rng] names the generator [choose] draws
+    from, if any, so that [carry]/[adopt] save and restore its state. *)

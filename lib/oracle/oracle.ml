@@ -71,6 +71,20 @@ module Observer = struct
       arrived_since_repack = 0;
     }
 
+  let resume spec (alloc : Allocator.t) =
+    let t = create spec alloc in
+    List.iter
+      (fun ((task : Task.t), (p : Placement.t)) ->
+        Mirror.apply_assign t.mirror task { Allocator.placement = p; moves = [] };
+        if task.Task.size = t.n then Hashtbl.replace t.full_ids task.Task.id ())
+      (alloc.Allocator.placements ());
+    t.peak_size <- Mirror.active_size t.mirror;
+    t.peak_load <- Mirror.max_load t.mirror;
+    t.full_peak <- Hashtbl.length t.full_ids;
+    t.arrived_since_repack <-
+      (alloc.Allocator.carry ()).Allocator.arrived_since_repack;
+    t
+
   let peak_load t = t.peak_load
   let optimal_load t = Pmp_util.Pow2.ceil_div t.peak_size t.n
 
@@ -257,49 +271,50 @@ module Observer = struct
         check_load t ev
 end
 
-let run spec ~make seq =
-  let alloc = make () in
-  let obs = Observer.create spec alloc in
-  let events = Sequence.events seq in
+(* Drive [alloc] through [events] under [obs]; stop at the first
+   violation. Exceptions escaping the allocator are structural
+   violations, so a crashing allocator still yields a shrinkable
+   trace. *)
+let drive obs (alloc : Allocator.t) events =
   let n = Array.length events in
   let rec go i =
     if i = n then Ok ()
     else begin
+      let raised ev what e =
+        Error
+          {
+            step = i;
+            event = ev;
+            kind = Structural;
+            message =
+              Printf.sprintf "allocator raised %s on %s" (Printexc.to_string e)
+                what;
+          }
+      in
       let step (ev : Event.t) =
         match ev with
         | Arrive task -> begin
             match alloc.Allocator.assign task with
             | resp -> Observer.observe_assign obs task resp
-            | exception e ->
-                Error
-                  {
-                    step = i;
-                    event = ev;
-                    kind = Structural;
-                    message =
-                      Printf.sprintf "allocator raised %s on arrival"
-                        (Printexc.to_string e);
-                  }
+            | exception e -> raised ev "arrival" e
           end
         | Depart id -> begin
             match alloc.Allocator.remove id with
             | () -> Observer.observe_remove obs id
-            | exception e ->
-                Error
-                  {
-                    step = i;
-                    event = ev;
-                    kind = Structural;
-                    message =
-                      Printf.sprintf "allocator raised %s on departure"
-                        (Printexc.to_string e);
-                  }
+            | exception e -> raised ev "departure" e
           end
       in
       match step events.(i) with Ok () -> go (i + 1) | Error _ as e -> e
     end
   in
   go 0
+
+let run spec ~make seq =
+  let alloc = make () in
+  drive (Observer.create spec alloc) alloc (Sequence.events seq)
+
+let run_from spec alloc events =
+  drive (Observer.resume spec alloc) alloc (Array.of_list events)
 
 type counterexample = {
   first : violation;

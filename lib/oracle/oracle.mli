@@ -76,6 +76,13 @@ module Observer : sig
   val create : spec -> Pmp_core.Allocator.t -> t
   (** Fresh observer for a {e fresh} allocator (no tasks active yet). *)
 
+  val resume : spec -> Pmp_core.Allocator.t -> t
+  (** Observer for an allocator that already holds live tasks — one
+      adopted from a snapshot. Its independent mirror starts from the
+      allocator's current placements, the budget accumulator from its
+      carry, and the running [L*] and peak load from the live state at
+      this point (the history before it is not known). *)
+
   val observe_assign :
     t ->
     Pmp_workload.Task.t ->
@@ -103,6 +110,17 @@ val run :
     the oracle; stop at the first violation. Exceptions escaping the
     allocator are reported as structural violations, so a crashing
     allocator still yields a shrinkable trace. *)
+
+val run_from :
+  spec ->
+  Pmp_core.Allocator.t ->
+  Pmp_workload.Event.t list ->
+  (unit, violation) result
+(** {!run} for an allocator that already holds live tasks: the events
+    are driven through it under {!Observer.resume}. The events need not form a
+    {!Pmp_workload.Sequence.t} on their own — departures may name
+    tasks that were live before the first event. Step numbers count
+    from the first event. *)
 
 type counterexample = {
   first : violation;  (** what the full sequence tripped *)

@@ -17,6 +17,12 @@ val create : int -> t
 val copy : t -> t
 (** Independent copy with identical current state. *)
 
+val state : t -> int64
+(** The one-word state: [set_state (create s) (state g)] continues
+    exactly as [g] does. *)
+
+val set_state : t -> int64 -> unit
+
 val split : t -> t
 (** [split t] draws from [t] and returns a new generator whose stream is
     (statistically) independent of the continuation of [t]. *)

@@ -283,6 +283,12 @@ let with_local_service ?(machine_size = 256) ?(policy = Cluster.Greedy)
       rm_rf dir;
       result
 
+let snapshot_files socket =
+  let dir = Filename.dirname socket in
+  Array.to_list (Sys.readdir dir)
+  |> List.filter (fun f -> String.starts_with ~prefix:"snapshot-" f)
+  |> List.map (fun f -> (f, (Unix.stat (Filename.concat dir f)).Unix.st_size))
+
 (* One complete benchmark: spin a server with the given WAL policy and
    format, drive the churn workload through one connection, shut the
    server down, clean up. *)

@@ -95,6 +95,11 @@ val with_local_service :
     the service is a sharded {!Mserver} ([snapshot_every] forced to 0
     — snapshots are unsupported there). *)
 
+val snapshot_files : string -> (string * int) list
+(** [snapshot_files socket]: the [snapshot-*] files, with their sizes
+    in bytes, of the state directory a {!with_local_service} server
+    behind [socket] writes (the socket lives in that directory). *)
+
 val bench :
   ?seed:int ->
   ?machine_size:int ->

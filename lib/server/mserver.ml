@@ -198,8 +198,10 @@ let merged_stats t =
 (* Replay every WAL record into the owning shard's cluster. Ids are
    interleaved ([global = local * K + shard]), so the owner and the
    expected local id fall straight out of the arithmetic — no routing
-   table survives the crash because none is needed. *)
-let replay_records plan clusters records =
+   table survives the crash because none is needed. Each shard's
+   translated records are collected (newest first) in [local_ops] for
+   the audit. *)
+let replay_records plan clusters local_ops records =
   List.fold_left
     (fun acc (rec_seq, op) ->
       let* prev = acc in
@@ -221,6 +223,7 @@ let replay_records plan clusters records =
             | Wal.Submit { size; _ } -> Wal.Submit { id = lid; size }
             | Wal.Finish _ -> Wal.Finish { id = lid }
           in
+          local_ops.(s) <- lop :: local_ops.(s);
           match Server.apply_wal_op clusters.(s) lop with
           | Ok () -> Ok rec_seq
           | Error e -> Error (Printf.sprintf "shard %d: %s" s e)
@@ -229,18 +232,19 @@ let replay_records plan clusters records =
     (Ok 0) records
 
 (* The sharded equivalents of the single-core startup audit: every
-   shard's recovered cluster must pass the oracle and the
-   restore-equivalence check on its own subtree, and the merged
+   shard's recovered cluster passes {!Server.audit_recovery} on its own
+   subtree from genesis (shards take no snapshots), and the merged
    statistics must balance against the raw WAL record counts. *)
-let audit_recovery cfg plan clusters records =
+let audit_recovery cfg plan ~genesis clusters local_ops records =
   let shard_size = plan.Sharding.shard_size in
   let rec per_shard s =
     if s >= Array.length clusters then Ok ()
     else
       match
-        Server.verify_cluster ~machine_size:shard_size
+        Server.audit_recovery ~machine_size:shard_size
           ~policy:cfg.base.Server.policy
-          ~admission_cap:cfg.base.Server.admission_cap clusters.(s)
+          ~admission_cap:cfg.base.Server.admission_cap ~base:genesis
+          ~tail:(List.rev local_ops.(s)) clusters.(s)
       with
       | Ok () -> per_shard (s + 1)
       | Error e -> Error (Printf.sprintf "shard %d: %s" s e)
@@ -327,8 +331,10 @@ let create cfg =
     in
     build [] 0
   in
-  let* last = replay_records plan clusters records in
-  let* () = audit_recovery cfg plan clusters records in
+  let genesis = Cluster.export clusters.(0) in
+  let local_ops = Array.make cfg.domains [] in
+  let* last = replay_records plan clusters local_ops records in
+  let* () = audit_recovery cfg plan ~genesis clusters local_ops records in
   write_marker base.Server.dir cfg.domains;
   let wal =
     Wal.open_log ~format:base.Server.wal_format

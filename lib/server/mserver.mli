@@ -78,8 +78,8 @@ type t
 val create : config -> (t, string) result
 (** Create or recover the state directory. Recovery routes each WAL
     record to its owner shard by id, replays it there (after id
-    translation) through {!Server.apply_wal_op}, runs the full
-    {!Server.verify_cluster} audit on {e every} shard, cross-checks
+    translation) through {!Server.apply_wal_op}, runs
+    {!Server.audit_recovery} from genesis on {e every} shard, cross-checks
     the merged statistics against the record counts, stamps the
     [domains] marker and opens the WAL for appending. Refuses:
     [domains < 2], a shard count that doesn't divide the machine, a

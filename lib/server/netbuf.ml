@@ -12,9 +12,34 @@ type t = {
   mutable pos : int;
   mutable len : int;
   mutable scanned : int;  (** leading bytes known to hold no newline *)
+  initial : int;  (** the capacity an oversized store drops back to *)
 }
 
-let create cap = { buf = Bytes.create (max 16 cap); pos = 0; len = 0; scanned = 0 }
+let create cap =
+  let cap = max 16 cap in
+  { buf = Bytes.create cap; pos = 0; len = 0; scanned = 0; initial = cap }
+
+(* No frame or line the protocol accepts needs more than a whole
+   payload, its header and one read's worth of what follows; doubling
+   past that would only overshoot. *)
+let max_store = Wire.max_payload + 65536 + 16
+
+(* A store grown beyond this (by one long line, or a large response)
+   is dropped once it drains, rather than kept for the connection's
+   lifetime. *)
+let oversized = 1 lsl 20
+
+let capacity t = Bytes.length t.buf
+
+(* The dropped store, and the smaller ones it grew from, are garbage
+   now; but a daemon that allocates little would keep them resident
+   until some later major cycle happens to finish. A store this large
+   is rare, so collect right away: one full major GC, O(live heap). *)
+let shrink t =
+  if Bytes.length t.buf > oversized then begin
+    t.buf <- Bytes.create t.initial;
+    Gc.full_major ()
+  end
 
 let length t = t.len
 let is_empty t = t.len = 0
@@ -24,7 +49,8 @@ let offset t = t.pos
 let clear t =
   t.pos <- 0;
   t.len <- 0;
-  t.scanned <- 0
+  t.scanned <- 0;
+  shrink t
 
 let compact t =
   if t.pos > 0 then begin
@@ -33,17 +59,20 @@ let compact t =
   end
 
 (* Make room for [n] more bytes at the tail, sliding or growing as
-   needed; growth doubles so total copying stays linear. *)
+   needed; growth doubles (up to [max_store]) so total copying stays
+   linear. *)
 let reserve t n =
   let cap = Bytes.length t.buf in
   if t.pos + t.len + n > cap then begin
     if t.len + n <= cap then compact t
     else begin
+      let need = t.len + n in
       let cap' = ref (max 16 cap) in
-      while t.len + n > !cap' do
+      while need > !cap' do
         cap' := !cap' * 2
       done;
-      let buf' = Bytes.create !cap' in
+      let cap' = if !cap' > max_store then max need max_store else !cap' in
+      let buf' = Bytes.create cap' in
       Bytes.blit t.buf t.pos buf' 0 t.len;
       t.buf <- buf';
       t.pos <- 0
@@ -57,7 +86,10 @@ let consume t n =
   t.pos <- t.pos + n;
   t.len <- t.len - n;
   t.scanned <- max 0 (t.scanned - n);
-  if t.len = 0 then t.pos <- 0
+  if t.len = 0 then begin
+    t.pos <- 0;
+    shrink t
+  end
 
 (* Bounded by the live span (not the backing store's capacity) and
    resumed where the last miss stopped, so a line arriving over many

@@ -11,7 +11,14 @@
 type t
 
 val create : int -> t
-(** Initial capacity (grows by doubling when needed). *)
+(** Initial capacity. The store grows by doubling when needed, but not
+    past what the framing limit ({!Wire.max_payload}) can need unless a
+    single reservation asks for more; a store grown beyond 1 MiB drops
+    back to the initial capacity as soon as it is empty ({!consume} to
+    zero, {!clear}), and a full major GC returns its memory. *)
+
+val capacity : t -> int
+(** Size of the backing store. *)
 
 val length : t -> int
 val is_empty : t -> bool

@@ -1,6 +1,5 @@
 module Cluster = Pmp_cluster.Cluster
 module Metrics = Pmp_telemetry.Metrics
-module Event = Pmp_workload.Event
 
 type config = {
   machine_size : int;
@@ -159,6 +158,9 @@ type t = {
           without allocating *)
   mutable seq : int;  (** durable mutation count since genesis *)
   mutable snap_seq : int;  (** seq covered by the latest snapshot *)
+  mutable snap_path : string option;
+      (** the latest snapshot, the only [snapshot-*] file in the
+          directory once it is durable *)
   mutable fresh_mutations : int;  (** accepted by this process *)
   mutable crash_armed : bool;
       (** crash injection tripped; fires after the covering commit *)
@@ -176,6 +178,7 @@ type t = {
   usr1 : bool Atomic.t;  (** a SIGUSR1 dump is pending *)
   ratio_ring : float array;  (** rolling load-ratio window, unboxed *)
   mutable ratio_n : int;  (** ratios ever pushed *)
+  snap_buf : Snapshot.buffer;  (** snapshot encoding, reused across snapshots *)
 }
 
 let cluster t = t.cluster
@@ -226,74 +229,6 @@ let rec mkdir_p dir =
     with Unix.Unix_error (EEXIST, _, _) -> ()
   end
 
-let build_allocator policy machine =
-  match (policy : Cluster.policy) with
-  | Cluster.Greedy -> Pmp_core.Greedy.create machine
-  | Cluster.Copies -> Pmp_core.Copies.create machine
-  | Cluster.Optimal -> Pmp_core.Optimal.create machine
-  | Cluster.Periodic d -> Pmp_core.Periodic.create machine ~d
-  | Cluster.Hybrid d -> Pmp_core.Hybrid.create machine ~d
-  | Cluster.Randomized seed ->
-      Pmp_core.Randomized.create machine ~rng:(Pmp_prng.Splitmix64.create seed)
-
-(* Bit-for-bit behavioural equality of two clusters: stats, loads,
-   queue, id counter, and the placement of every task either side has
-   ever admitted. *)
-let same_state a b =
-  let arrived c =
-    List.filter_map
-      (function Event.Arrive task -> Some task.Pmp_workload.Task.id | _ -> None)
-      (Cluster.events c)
-  in
-  if Cluster.stats a <> Cluster.stats b then Error "stats differ"
-  else if Cluster.leaf_loads a <> Cluster.leaf_loads b then Error "loads differ"
-  else if Cluster.queued_tasks a <> Cluster.queued_tasks b then
-    Error "queues differ"
-  else if Cluster.next_id a <> Cluster.next_id b then Error "next ids differ"
-  else begin
-    let mismatch =
-      List.find_opt
-        (fun id ->
-          match (Cluster.placement a id, Cluster.placement b id) with
-          | None, None -> false
-          | Some p, Some q -> not (Pmp_core.Placement.equal p q)
-          | _ -> true)
-        (arrived a @ arrived b)
-    in
-    match mismatch with
-    | None -> Ok ()
-    | Some id -> Error (Printf.sprintf "placement of task %d differs" id)
-  end
-
-(* The recovered state must prove itself: the history passes the
-   structural conformance oracle with a fresh allocator, and a fresh
-   replay of the externalised state reproduces the cluster exactly.
-   Exposed (as [verify_cluster]) so the sharded server can run the
-   same audit on each shard's recovered cluster. *)
-let verify_cluster ~machine_size ~policy ~admission_cap cluster =
-  let machine = Pmp_machine.Machine.create machine_size in
-  let make () = build_allocator policy machine in
-  let* () =
-    match
-      Pmp_oracle.Oracle.run Pmp_oracle.Oracle.structural_only ~make
-        (Cluster.history cluster)
-    with
-    | Ok () -> Ok ()
-    | Error v ->
-        Error
-          (Format.asprintf "recovered history fails the oracle: %a"
-             Pmp_oracle.Oracle.pp_violation v)
-  in
-  let snap = Snapshot.of_cluster ~seq:0 ~admission_cap cluster in
-  let* replayed = Snapshot.restore snap in
-  match same_state cluster replayed with
-  | Ok () -> Ok ()
-  | Error e -> Error ("recovered state diverges from a fresh replay: " ^ e)
-
-let verify_recovery config cluster =
-  verify_cluster ~machine_size:config.machine_size ~policy:config.policy
-    ~admission_cap:config.admission_cap cluster
-
 let apply_op cluster (op : Wal.op) =
   match op with
   | Wal.Submit { id; size } -> (
@@ -312,20 +247,86 @@ let apply_op cluster (op : Wal.op) =
 
 let apply_wal_op = apply_op
 
-let recover config recorder =
-  let* snap =
-    match Snapshot.latest ~dir:config.dir with
-    | None -> Ok None
-    | Some (path, _) -> Result.map Option.some (Snapshot.load path)
+(* Bit-for-bit behavioural equality of two clusters: stats, loads and
+   the whole live state (placements, queue, counters, allocator carry),
+   which determines every later decision. *)
+let same_state a b =
+  let x = Cluster.export a and y = Cluster.export b in
+  let differ what = Error (what ^ " differ") in
+  if Cluster.stats a <> Cluster.stats b then differ "stats"
+  else if Cluster.leaf_loads a <> Cluster.leaf_loads b then differ "loads"
+  else if x.Cluster.State.queued <> y.Cluster.State.queued then differ "queues"
+  else if x.Cluster.State.carry <> y.Cluster.State.carry then
+    differ "allocator carries"
+  else if x.Cluster.State.live <> y.Cluster.State.live then
+    differ "live placements"
+  else if x <> y then differ "counters"
+  else Ok ()
+
+let prefix p = Result.map_error (fun e -> p ^ e)
+
+(* The startup audit, O(live + N + tail): the state adopted from [base]
+   and the recovered cluster pass the structural audit; the
+   allocator-visible events of the tail, taken from an independent
+   adopt-then-replay, pass the structural conformance oracle on a third
+   allocator adopted from [base]; and the independent replay ends in
+   exactly the recovered state. *)
+let audit_recovery ~machine_size ~policy ~admission_cap ~base ~tail cluster =
+  let rev_events = ref [] in
+  let* twin =
+    Cluster.adopt ~machine_size ~policy ~admission_cap
+      ~trace:(fun ev -> rev_events := ev :: !rev_events)
+      base
+    |> prefix "snapshot state does not adopt: "
   in
-  let* cluster, snap_seq =
+  let* () = Cluster.audit twin |> prefix "snapshot state fails the audit: " in
+  let* () =
+    List.fold_left
+      (fun acc op ->
+        let* () = acc in
+        apply_op twin op)
+      (Ok ()) tail
+    |> prefix "independent replay: "
+  in
+  let* () =
+    let alloc = Cluster.make_allocator policy (Pmp_machine.Machine.create machine_size) in
+    alloc.Pmp_core.Allocator.adopt base.Cluster.State.carry
+      (Array.to_list base.Cluster.State.live);
+    match
+      Pmp_oracle.Oracle.run_from Pmp_oracle.Oracle.structural_only alloc
+        (List.rev !rev_events)
+    with
+    | Ok () -> Ok ()
+    | Error v ->
+        Error
+          (Format.asprintf "recovered WAL tail fails the oracle: %a"
+             Pmp_oracle.Oracle.pp_violation v)
+  in
+  let* () = Cluster.audit cluster |> prefix "recovered state fails the audit: " in
+  same_state cluster twin
+  |> prefix "recovered state diverges from an independent adopt-and-replay: "
+
+let verify_cluster ~machine_size ~policy ~admission_cap cluster =
+  audit_recovery ~machine_size ~policy ~admission_cap
+    ~base:(Cluster.export cluster) ~tail:[] cluster
+
+let recover config recorder =
+  let latest = Option.map fst (Snapshot.latest ~dir:config.dir) in
+  let* snap =
+    match latest with
+    | None -> Ok None
+    | Some path -> Result.map Option.some (Snapshot.load path)
+  in
+  (* [base] is the state the WAL tail applies to: the snapshot's, or a
+     fresh cluster's (whose carry holds a randomized policy's seed) *)
+  let* cluster, base, snap_seq =
     match snap with
     | None ->
         let* c =
           Cluster.create ~machine_size:config.machine_size ~policy:config.policy
             ~admission_cap:config.admission_cap ()
         in
-        Ok (c, 0)
+        Ok (c, Cluster.export c, 0)
     | Some s ->
         if s.Snapshot.machine_size <> config.machine_size then
           Error "snapshot machine size does not match the configuration"
@@ -337,7 +338,7 @@ let recover config recorder =
           Error "snapshot admission cap does not match the configuration"
         else
           let* c = Snapshot.restore s in
-          Ok (c, s.Snapshot.seq)
+          Ok (c, s.Snapshot.state, s.Snapshot.seq)
   in
   let* records = Wal.load (Filename.concat config.dir "wal.log") in
   let tail = List.filter (fun (seq, _) -> seq > snap_seq) records in
@@ -361,8 +362,16 @@ let recover config recorder =
         end)
       (Ok snap_seq) tail
   in
-  let* () = verify_recovery config cluster in
-  Ok (cluster, last_seq, snap_seq, List.length tail, snap <> None)
+  (* a fresh directory (no snapshot, no WAL record) recovers nothing,
+     so there is nothing to audit *)
+  let* () =
+    if snap = None && tail = [] then Ok ()
+    else
+      audit_recovery ~machine_size:config.machine_size ~policy:config.policy
+        ~admission_cap:config.admission_cap ~base ~tail:(List.map snd tail)
+        cluster
+  in
+  Ok (cluster, last_seq, snap_seq, List.length tail, latest)
 
 let update_gauges t =
   let s = Cluster.stats t.cluster in
@@ -410,10 +419,14 @@ let create config =
           ~size:0 ~seq:0 ~dur_ns:0 ~ts_us:0 ~ok:false;
         Recorder.dump recorder (Filename.concat config.dir "flightrec.jsonl");
         Error e
-    | Ok (cluster, seq, snap_seq, replayed, had_snapshot) ->
+    | Ok (cluster, seq, snap_seq, replayed, snap_path) ->
+        (* older snapshots, and the [.tmp] of a save a crash cut short,
+           can never be recovered from: the WAL before the latest
+           snapshot is gone *)
+        Snapshot.prune ~dir:config.dir ~keep:(Option.value snap_path ~default:"");
         let reg = Metrics.Registry.create () in
         let ins = make_instruments reg in
-        if replayed > 0 || had_snapshot then begin
+        if replayed > 0 || snap_path <> None then begin
           Metrics.Counter.incr ins.c_recoveries;
           Metrics.Counter.inc ins.c_recovered_ops replayed;
           Metrics.Span.add ins.s_recovery (Unix.gettimeofday () -. t0)
@@ -433,6 +446,7 @@ let create config =
             cur = { Wire.pos = 0 };
             seq;
             snap_seq;
+            snap_path;
             fresh_mutations = 0;
             crash_armed = false;
             last_fsync = Unix.gettimeofday ();
@@ -449,6 +463,7 @@ let create config =
             usr1 = Atomic.make false;
             ratio_ring = Array.make 1024 0.0;
             ratio_n = 0;
+            snap_buf = Snapshot.buffer ();
           }
         in
         update_gauges t;
@@ -458,15 +473,22 @@ let create config =
 (* ------------------------------------------------------------------ *)
 (* request handling                                                    *)
 
+(* Once the snapshot and its directory entry are durable the WAL is
+   truncated and the previous snapshot deleted: with the log before it
+   gone, it could never be recovered from. [create] pruned everything
+   else, so one file is always all there is. *)
 let snapshot_now t =
   let t0 = Unix.gettimeofday () in
   match
-    Snapshot.save ~dir:t.config.dir
-      (Snapshot.of_cluster ~seq:t.seq ~admission_cap:t.config.admission_cap
-         t.cluster)
+    Snapshot.save ~buf:t.snap_buf ~dir:t.config.dir ~seq:t.seq
+      ~admission_cap:t.config.admission_cap t.cluster
   with
   | path ->
       Wal.reset t.wal;
+      (match t.snap_path with
+      | Some old when old <> path -> ( try Sys.remove old with Sys_error _ -> ())
+      | Some _ | None -> ());
+      t.snap_path <- Some path;
       t.snap_seq <- t.seq;
       Metrics.Counter.incr t.ins.c_snapshots;
       Metrics.Span.add t.ins.s_snapshot (Unix.gettimeofday () -. t0);

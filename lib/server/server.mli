@@ -12,15 +12,20 @@
     stable storage at a per-batch (not per-record) fsync cost;
     [Always] forces every record individually, [Interval] trades the
     tail of an interval for even fewer fsyncs, [Never] leaves
-    durability to the OS. On startup, {!create} loads the latest
-    snapshot, replays the WAL tail on top of it, cross-checks every
+    durability to the OS. On startup, {!create} adopts the latest
+    live-state snapshot ({!Pmp_cluster.Cluster.adopt}: no history is
+    replayed), replays the WAL tail on top of it, cross-checks every
     replayed submission against the id the original run acknowledged,
-    and then audits the whole recovered state: the event history must
-    pass the structural conformance oracle with a fresh allocator, and
-    an independent {!Pmp_cluster.Cluster.restore} replay of the
-    recovered state must reproduce the same loads, stats and
-    placements bit for bit. A recovery that cannot prove itself equal
-    to the uninterrupted execution refuses to start.
+    and then audits the result in O(live + N + tail) with
+    {!audit_recovery}. A recovery that cannot prove itself equal to the
+    uninterrupted execution refuses to start.
+
+    {b Snapshots.} Every [snapshot_every] mutations (and on the
+    [snapshot] request) the live state is written, the directory
+    fsynced, the WAL truncated and every older snapshot deleted, so
+    the state directory holds one snapshot and at most
+    [snapshot_every] WAL records: its size, and restart time, follow
+    the live state, not the history.
 
     {b Hot path.} Binary-framed requests ({!Wire.request_magic} first
     byte) are decoded straight out of the connection's input buffer
@@ -84,10 +89,11 @@ val recovered_ops : t -> int
 (** WAL records replayed by {!create} (0 on a fresh start). *)
 
 val same_state : Pmp_cluster.Cluster.t -> Pmp_cluster.Cluster.t -> (unit, string) result
-(** Bit-for-bit behavioural equality of two clusters — stats, loads,
-    queue, id counter and every admitted task's placement. This is the
-    relation recovery is verified under (and the one the
-    crash-recovery tests assert). *)
+(** Bit-for-bit behavioural equality of two clusters — stats, loads
+    and the whole exported live state: every live placement, the
+    queue, the counters and the allocator carry, which together fix
+    every later decision. This is the relation recovery is verified
+    under (and the one the crash-recovery tests assert). *)
 
 val apply_wal_op : Pmp_cluster.Cluster.t -> Wal.op -> (unit, string) result
 (** Replay one WAL record against a cluster, cross-checking that a
@@ -95,18 +101,36 @@ val apply_wal_op : Pmp_cluster.Cluster.t -> Wal.op -> (unit, string) result
     unit of recovery for both the single-threaded server and (per
     shard, after id translation) the sharded one. *)
 
+val audit_recovery :
+  machine_size:int ->
+  policy:Pmp_cluster.Cluster.policy ->
+  admission_cap:float option ->
+  base:Pmp_cluster.Cluster.State.t ->
+  tail:Wal.op list ->
+  Pmp_cluster.Cluster.t ->
+  (unit, string) result
+(** The recovery audit of a cluster that was adopted from [base] (a
+    snapshot's state, or a fresh cluster's export) and then had [tail]
+    replayed onto it, in O(live + N + tail):
+    - {!Pmp_cluster.Cluster.audit} of the state adopted from [base]
+      and of the recovered cluster;
+    - the structural conformance oracle over the tail's
+      allocator-visible events, on an allocator adopted from [base]
+      ({!Pmp_oracle.Oracle.run_from});
+    - {!same_state} between the recovered cluster and an independent
+      adopt-then-replay of [tail].
+    {!create} runs it on the recovered cluster; the sharded server
+    runs it on every shard's, from genesis. *)
+
 val verify_cluster :
   machine_size:int ->
   policy:Pmp_cluster.Cluster.policy ->
   admission_cap:float option ->
   Pmp_cluster.Cluster.t ->
   (unit, string) result
-(** The full recovery audit on an arbitrary cluster: its event history
-    must pass the structural conformance oracle with a fresh
-    allocator, and an independent {!Pmp_cluster.Cluster.restore}
-    replay of its externalised state must reproduce it bit for bit
-    ({!same_state}). {!create} runs this on the recovered cluster; the
-    sharded server runs it on every shard's. *)
+(** {!audit_recovery} of a cluster against its own export and an empty
+    tail: the structural audit, and adoption of its live state
+    reproducing it bit for bit. O(live + N). *)
 
 val mkdir_p : string -> unit
 (** Create a directory and any missing parents. *)
@@ -175,8 +199,9 @@ val commit : t -> unit
     @raise Crash when crash injection tripped in this batch. *)
 
 val snapshot_now : t -> (string, string) result
-(** Write a snapshot covering everything applied so far and rotate the
-    WAL; returns the path written. *)
+(** Write a live-state snapshot covering everything applied so far,
+    fsync it and the state directory, truncate the WAL and delete every
+    older snapshot; returns the path written. *)
 
 val close : t -> unit
 (** Flush and fsync the WAL, then close it (no implicit final

@@ -1,10 +1,17 @@
 module Cluster = Pmp_cluster.Cluster
 module Sm = Pmp_prng.Splitmix64
 
-let make ?(cap = None) ?(policy = Cluster.Greedy) n =
-  match Cluster.create ~machine_size:n ~policy ~admission_cap:cap () with
+let make ?(cap = None) ?(policy = Cluster.Greedy) ?trace n =
+  match Cluster.create ~machine_size:n ~policy ~admission_cap:cap ?trace () with
   | Ok t -> t
   | Error e -> Alcotest.fail e
+
+(* A cluster whose allocator-visible history is collected through its
+   trace hook; [history ()] validates it into a sequence. *)
+let make_traced ?cap ?policy n =
+  let rev = ref [] in
+  let t = make ?cap ?policy ~trace:(fun ev -> rev := ev :: !rev) n in
+  (t, fun () -> Pmp_workload.Sequence.of_events_exn (List.rev !rev))
 
 let submit_placed t size =
   match Cluster.submit t ~size with
@@ -123,10 +130,10 @@ let test_migration_accounting () =
 
 let test_history_replay () =
   (* record a session, then replay it against a different policy *)
-  let t = make ~policy:Cluster.Greedy 16 in
+  let t, history = make_traced ~policy:Cluster.Greedy 16 in
   let ids = List.init 8 (fun i -> fst (submit_placed t (1 lsl (i mod 3)))) in
   List.iteri (fun i id -> if i mod 2 = 0 then ignore (Cluster.finish t id)) ids;
-  let history = Cluster.history t in
+  let history = history () in
   Alcotest.(check int) "8 arrivals" 8
     (Pmp_workload.Sequence.num_arrivals history);
   Alcotest.(check int) "12 events" 12 (Pmp_workload.Sequence.length history);
@@ -140,14 +147,14 @@ let test_history_replay () =
     r.Pmp_sim.Engine.max_load
 
 let test_history_excludes_queued () =
-  let t = make ~cap:(Some 1.0) 4 in
+  let t, history = make_traced ~cap:(Some 1.0) 4 in
   let _id0, _ = submit_placed t 4 in
   (match Cluster.submit t ~size:4 with
   | Ok (Cluster.Queued _) -> ()
   | _ -> Alcotest.fail "should queue");
   (* the queued task never reached the allocator *)
   Alcotest.(check int) "only one arrival recorded" 1
-    (Pmp_workload.Sequence.num_arrivals (Cluster.history t))
+    (Pmp_workload.Sequence.num_arrivals (history ()))
 
 (* Random driver: the cluster's accounting must match a naive replay. *)
 let prop_driver_consistency =

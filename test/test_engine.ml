@@ -51,6 +51,8 @@ let test_checked_catches_cheater () =
       remove = (fun id -> Hashtbl.remove table id);
       placements = (fun () -> Hashtbl.fold (fun _ tp acc -> tp :: acc) table []);
       realloc_events = (fun () -> 0);
+      carry = (fun () -> Allocator.no_carry);
+      adopt = Allocator.adopt_unsupported "cheater";
     }
   in
   let seq = Sequence.of_events_exn [ Event.arrive (Task.make ~id:0 ~size:2) ] in

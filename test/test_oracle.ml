@@ -127,6 +127,8 @@ let pile_allocator m : Allocator.t =
     remove = (fun id -> Hashtbl.remove table id);
     placements = (fun () -> Hashtbl.fold (fun _ tp acc -> tp :: acc) table []);
     realloc_events = (fun () -> 0);
+    carry = (fun () -> Allocator.no_carry);
+    adopt = Allocator.adopt_unsupported "mutant-pile";
   }
 
 (* Claims an order-0 home for every task, whatever its size. *)
@@ -143,6 +145,8 @@ let wrong_size_allocator m : Allocator.t =
     remove = (fun id -> Hashtbl.remove table id);
     placements = (fun () -> Hashtbl.fold (fun _ tp acc -> tp :: acc) table []);
     realloc_events = (fun () -> 0);
+    carry = (fun () -> Allocator.no_carry);
+    adopt = Allocator.adopt_unsupported "mutant-wrong-size";
   }
 
 let mutant_seq ~machine_size =

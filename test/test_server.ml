@@ -487,10 +487,9 @@ let test_snapshot_roundtrip () =
              ~admission_cap:(Some 1.5) ())
       in
       drive_cluster (Sm.create 7) cluster ~steps:120;
-      let snap = Snapshot.of_cluster ~seq:120 ~admission_cap:(Some 1.5) cluster in
-      let path = Snapshot.save ~dir snap in
+      let path = Snapshot.save ~dir ~seq:120 ~admission_cap:(Some 1.5) cluster in
       let snap' = get_ok ~ctx:"load" (Snapshot.load path) in
-      Alcotest.(check int) "seq" snap.Snapshot.seq snap'.Snapshot.seq;
+      Alcotest.(check int) "seq" 120 snap'.Snapshot.seq;
       let restored = get_ok ~ctx:"restore" (Snapshot.restore snap') in
       get_ok ~ctx:"same state" (Server.same_state cluster restored))
 
@@ -502,7 +501,7 @@ let test_snapshot_latest () =
           (Cluster.create ~machine_size:8 ~policy:Cluster.Greedy ())
       in
       let save seq =
-        ignore (Snapshot.save ~dir (Snapshot.of_cluster ~seq ~admission_cap:None cluster))
+        ignore (Snapshot.save ~dir ~seq ~admission_cap:None cluster)
       in
       save 3;
       save 12;
@@ -530,14 +529,17 @@ let restore_equiv =
           let machine_size = 1 lsl levels in
           let policy = policy_of_index p in
           let admission_cap = if capped then Some 1.25 else None in
+          let rev_events = ref [] in
           let cluster =
             Result.get_ok
-              (Cluster.create ~machine_size ~policy ~admission_cap ())
+              (Cluster.create ~machine_size ~policy ~admission_cap
+                 ~trace:(fun ev -> rev_events := ev :: !rev_events)
+                 ())
           in
           drive_cluster g cluster ~steps;
           let restored =
             Cluster.restore ~machine_size ~policy ~admission_cap
-              ~events:(Cluster.events cluster)
+              ~events:(List.rev !rev_events)
               ~queued:(Cluster.queued_tasks cluster)
               ~next_id:(Cluster.next_id cluster)
               ~submitted:(Cluster.stats cluster).Cluster.submitted
@@ -546,6 +548,52 @@ let restore_equiv =
           match restored with
           | Error e -> Alcotest.failf "restore failed: %s" e
           | Ok restored -> Server.same_state cluster restored = Ok ()))
+
+(* --- adoption equivalence ----------------------------------------- *)
+
+(* [adopt (export c)], then the same operations as [c]: every reply,
+   and at the end the whole state, must be those of [c]. *)
+let adopt_equiv =
+  QCheck.Test.make ~name:"adopt(export c) then the same ops equals c" ~count:120
+    (QCheck.make
+       ~print:(fun (levels, seed, (prefix, suffix), p, capped) ->
+         Printf.sprintf "levels=%d seed=%d prefix=%d suffix=%d policy=%d capped=%b"
+           levels seed prefix suffix p capped)
+       QCheck.Gen.(
+         tup5 (int_range 1 5) (int_range 0 1_000_000)
+           (pair (int_range 0 150) (int_range 1 150))
+           (int_range 0 100) bool))
+    (fun (levels, seed, (prefix, suffix), p, capped) ->
+      Helpers.with_seed ~label:"adopt-equiv" seed (fun g ->
+          let machine_size = 1 lsl levels in
+          let policy = policy_of_index p in
+          let admission_cap = if capped then Some 1.25 else None in
+          let original =
+            get_ok ~ctx:"create" (Cluster.create ~machine_size ~policy ~admission_cap ())
+          in
+          drive_cluster g original ~steps:prefix;
+          let adopted =
+            get_ok ~ctx:"adopt"
+              (Cluster.adopt ~machine_size ~policy ~admission_cap (Cluster.export original))
+          in
+          get_ok ~ctx:"adopted audit" (Cluster.audit adopted);
+          let levels = Pmp_util.Pow2.ilog2 machine_size in
+          for _ = 1 to suffix do
+            let next = Cluster.next_id original in
+            if next = 0 || Sm.int g 3 < 2 then begin
+              let size = 1 lsl Sm.int g (levels + 1) in
+              if Cluster.submit original ~size <> Cluster.submit adopted ~size then
+                Alcotest.fail "a submission was answered differently"
+            end
+            else begin
+              let id = Sm.int g next in
+              if Cluster.finish original id <> Cluster.finish adopted id then
+                Alcotest.fail "a completion was answered differently"
+            end
+          done;
+          match Server.same_state original adopted with
+          | Ok () -> true
+          | Error e -> Alcotest.failf "state diverged: %s" e))
 
 (* --- crash recovery ----------------------------------------------- *)
 
@@ -664,6 +712,94 @@ let crash_recovery =
                   with
                   | Ok () -> true
                   | Error e -> Alcotest.failf "state diverged: %s" e))))
+
+let snapshot_files dir =
+  Array.to_list (Sys.readdir dir)
+  |> List.filter (fun f -> String.starts_with ~prefix:"snapshot-" f)
+
+let expect_refusal ~ctx ~needle = function
+  | Ok _ -> Alcotest.failf "%s: accepted" ctx
+  | Error e ->
+      let nl = String.length needle and el = String.length e in
+      let rec has i = i + nl <= el && (String.sub e i nl = needle || has (i + 1)) in
+      if not (has 0) then Alcotest.failf "%s: error %S does not mention %S" ctx e needle
+
+let test_snapshot_corrupt_digest () =
+  with_dir (fun dir ->
+      let config = Server.default_config ~machine_size:16 ~policy:Cluster.Copies ~dir in
+      let s = get_ok ~ctx:"create" (Server.create config) in
+      apply s [ Protocol.Submit 4; Protocol.Submit 2; Protocol.Snapshot ];
+      Server.close s;
+      let path =
+        match snapshot_files dir with
+        | [ f ] -> Filename.concat dir f
+        | fs -> Alcotest.failf "expected one snapshot, found %d" (List.length fs)
+      in
+      let body = In_channel.with_open_bin path In_channel.input_all in
+      let flipped = Bytes.of_string body in
+      let i = String.length body / 2 in
+      Bytes.set flipped i (Char.chr (Char.code body.[i] lxor 1));
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc flipped);
+      expect_refusal ~ctx:"load" ~needle:"digest" (Snapshot.load path);
+      expect_refusal ~ctx:"restart" ~needle:"digest" (Server.create config))
+
+let test_snapshot_refuses_json () =
+  with_dir (fun dir ->
+      let name = "snapshot-0000000012.json" in
+      Out_channel.with_open_text (Filename.concat dir name) (fun oc ->
+          Out_channel.output_string oc "{\"format\": 1, \"events\": []}\n");
+      expect_refusal ~ctx:"restart" ~needle:name
+        (Server.create (Server.default_config ~machine_size:16 ~policy:Cluster.Greedy ~dir)))
+
+(* A fixed live state reached after short and long histories: the
+   snapshot and the restart follow the live state, not the history. *)
+let test_restart_follows_live_state () =
+  let snapshot_every = 256 in
+  let run ~history =
+    with_dir (fun dir ->
+        let config =
+          {
+            (Server.default_config ~machine_size:64 ~policy:Cluster.Greedy ~dir) with
+            Server.snapshot_every;
+            (* a clean close makes the WAL durable; fsyncing 20k
+               batches would only slow the test down *)
+            fsync_policy = Wal.Never;
+          }
+        in
+        let s = get_ok ~ctx:"create" (Server.create config) in
+        let churn = (history - 40) / 2 in
+        for i = 0 to churn - 1 do
+          apply s [ Protocol.Submit 1; Protocol.Finish i ]
+        done;
+        apply s (List.init 40 (fun i -> Protocol.Submit (1 lsl (i mod 4))));
+        let before = Cluster.stats (Server.cluster s) in
+        Server.close s;
+        let r = get_ok ~ctx:"restart" (Server.create config) in
+        let recovered =
+          String.split_on_char '\n' (Server.metrics r)
+          |> List.find_map (fun line ->
+                 Scanf.sscanf_opt line "pmpd_recovered_ops_total %d%!" Fun.id)
+          |> Option.value ~default:max_int
+        in
+        if recovered > snapshot_every then
+          Alcotest.failf "history %d: %d WAL records replayed (snapshot every %d)"
+            history recovered snapshot_every;
+        if Cluster.stats (Server.cluster r) <> before then
+          Alcotest.failf "history %d: stats changed across the restart" history;
+        Alcotest.(check int)
+          (Printf.sprintf "history %d: snapshot files" history)
+          1
+          (List.length (snapshot_files dir));
+        let path = get_ok ~ctx:"snapshot" (Server.snapshot_now r) in
+        Alcotest.(check int)
+          (Printf.sprintf "history %d: snapshot files after a snapshot" history)
+          1
+          (List.length (snapshot_files dir));
+        Server.close r;
+        (Unix.stat path).Unix.st_size)
+  in
+  let short = run ~history:2_000 and long = run ~history:40_000 in
+  Alcotest.(check int) "snapshot bytes at 2k and 40k mutations" short long
 
 (* The group-commit durability contract, spelled out: every mutation
    the server acknowledged (i.e. whose batch was committed) survives a
@@ -1880,6 +2016,21 @@ let test_tagged_frames_fast_path () =
   Alcotest.(check int) "one apply sample per tagged submit" n
     (scraped_count (scrape_buckets dump "pmpd_stage_seconds" "stage=\"apply\""))
 
+(* --- connection buffers ------------------------------------------- *)
+
+let test_netbuf_drops_oversized_store () =
+  let b = Pmp_server.Netbuf.create 256 in
+  let line = String.make Pmp_server.Wire.max_payload 'a' in
+  Pmp_server.Netbuf.add_string b line;
+  Pmp_server.Netbuf.add_char b '\n';
+  let held = Pmp_server.Netbuf.capacity b in
+  if held > Pmp_server.Wire.max_payload + 65536 + 16 then
+    Alcotest.failf "a max-size line grew the store to %d bytes" held;
+  (match Pmp_server.Netbuf.find_newline b with
+  | Some i -> Pmp_server.Netbuf.consume b (i + 1)
+  | None -> Alcotest.fail "newline not found");
+  Alcotest.(check int) "capacity once consumed" 256 (Pmp_server.Netbuf.capacity b)
+
 let suite =
   [
     ("decode errors", `Quick, test_decode_errors);
@@ -1896,6 +2047,10 @@ let suite =
     ("policy codec", `Quick, test_policy_codec);
     ("snapshot round-trip", `Quick, test_snapshot_roundtrip);
     ("snapshot latest", `Quick, test_snapshot_latest);
+    ("snapshot corrupt digest refused", `Quick, test_snapshot_corrupt_digest);
+    ("snapshot json refused", `Quick, test_snapshot_refuses_json);
+    ("restart follows live state", `Quick, test_restart_follows_live_state);
+    ("netbuf drops oversized store", `Quick, test_netbuf_drops_oversized_store);
     ("group commit crash durability", `Quick, test_group_commit_crash_durability);
     ("recovery counts ops", `Quick, test_recovery_counts_ops);
     ("recovery rejects config mismatch", `Quick, test_recovery_rejects_config_mismatch);
@@ -1925,5 +2080,5 @@ let suite =
       [
         request_roundtrip; response_roundtrip; binary_request_equiv;
         binary_response_equiv; rid_request_roundtrip; rid_response_roundtrip;
-        restore_equiv; crash_recovery;
+        restore_equiv; adopt_equiv; crash_recovery;
       ]
